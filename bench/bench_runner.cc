@@ -82,15 +82,72 @@
 #include "app/kv_service.h"
 #include "bench/bench_util.h"
 #include "crypto/sha256.h"
+#include "harness/runner.h"
 #include "harness/scenario.h"
 #include "harness/scenario_runner.h"
-#include "harness/sharded_runner.h"
-#include "harness/socket_runner.h"
-#include "harness/threaded_runner.h"
 
 namespace prestige {
 namespace bench {
 namespace {
+
+/// Execution backend (--runtime). kSim runs everything on the
+/// deterministic discrete-event simulator. kThreaded additionally runs each
+/// selected scenario's workload on the real-time ThreadedRuntime (one
+/// thread per node, wall-clock timers, loopback queues); kSocket on the
+/// socket runtime (every node in-process, all traffic crossing real
+/// loopback UDP sockets through the hardened wire codec). Either adds a
+/// JSON block with wall-clock numbers next to the simulated ones.
+enum class Runtime { kSim, kThreaded, kSocket };
+
+/// The parsed command line (usage at the top of this file).
+struct Options {
+  std::string outdir = ".";
+  std::vector<std::string> selected;
+  Runtime runtime = Runtime::kSim;
+  /// Seed sweep of declarative scenarios: seeds [base_seed, +seeds).
+  uint32_t seeds = 3;
+  uint64_t base_seed = 1;
+  /// Worker threads for declarative seed sweeps (--jobs); 0 = not set,
+  /// resolved to the machine's hardware concurrency.
+  uint32_t jobs = 0;
+  /// Per-node prologue worker counts for the threaded backend (--workers).
+  std::vector<uint32_t> worker_counts;
+  /// Consensus-group counts for the sharded open-loop sweep (--groups,
+  /// threaded backend only). Empty = no group sweep.
+  std::vector<uint32_t> group_counts;
+  /// Open-loop Poisson arrival rate, req/s per client pool.
+  double arrival_rate = 2000.0;
+  /// End-to-end latency SLO for the group sweep.
+  double slo_ms = 500.0;
+
+  uint32_t ResolvedJobs() const {
+    if (jobs != 0) return jobs;
+    const unsigned hc = std::thread::hardware_concurrency();
+    return hc == 0 ? 1 : hc;
+  }
+
+  /// Resolved worker sweep: a single K>0 expands to {0, K}, and 0 always
+  /// leads so the flat "threaded" fields (and the CI gates reading them)
+  /// keep describing the classic path. Empty = {0} (classic only).
+  std::vector<uint32_t> WorkerCounts() const {
+    std::vector<uint32_t> counts = worker_counts;
+    if (std::find(counts.begin(), counts.end(), 0u) == counts.end()) {
+      counts.insert(counts.begin(), 0);
+    }
+    return counts;
+  }
+
+  /// Resolved group sweep: groups=1 always leads so every sweep carries
+  /// the unsharded reference point scaling claims are made against.
+  std::vector<uint32_t> GroupCounts() const {
+    std::vector<uint32_t> counts = group_counts;
+    if (counts.empty()) return counts;
+    if (std::find(counts.begin(), counts.end(), 1u) == counts.end()) {
+      counts.insert(counts.begin(), 1);
+    }
+    return counts;
+  }
+};
 
 struct ScenarioResult {
   uint32_t n = 0;
@@ -116,67 +173,6 @@ struct ScenarioResult {
   std::string extra_json;
 };
 
-// Seed-sweep knobs for declarative scenarios (set from the command line).
-uint32_t g_sweep_seeds = 3;
-uint64_t g_sweep_base_seed = 1;
-
-/// Execution backend (--runtime). "sim" runs everything on the
-/// deterministic discrete-event simulator as always. "threaded"
-/// additionally runs each selected scenario's workload on the real-time
-/// ThreadedRuntime (one thread per node, wall-clock timers, loopback
-/// queues) and reports real TPS/latency next to the simulated numbers.
-bool g_threaded = false;
-
-/// Third backend (--runtime=socket): the same workload over the socket
-/// runtime — every node still in-process but all replica/pool traffic
-/// crossing real loopback UDP sockets through the hardened wire codec.
-/// Adds a "socket" JSON block with wall-clock numbers plus frame/drop
-/// counters next to the simulated ones.
-bool g_socket = false;
-
-/// Worker threads for declarative seed sweeps (--jobs). Defaults to the
-/// machine's hardware concurrency so sweeps saturate it out of the box.
-uint32_t DefaultJobs() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : hc;
-}
-uint32_t g_jobs = 0;  // 0 = not set; resolved to DefaultJobs() in Main.
-
-/// Per-node prologue worker counts for the threaded backend (--workers).
-/// Comma-separated list; a single K>0 expands to {0, K} so every sweep
-/// carries the classic-path reference point. Empty = {0} (classic only).
-std::vector<uint32_t> g_worker_counts;
-
-/// Resolved sweep: always starts with 0 so the flat "threaded" fields (and
-/// the CI gates reading them) keep describing the classic path.
-std::vector<uint32_t> WorkerCounts() {
-  std::vector<uint32_t> counts = g_worker_counts;
-  if (counts.empty()) counts.push_back(0);
-  if (std::find(counts.begin(), counts.end(), 0u) == counts.end()) {
-    counts.insert(counts.begin(), 0);
-  }
-  return counts;
-}
-
-/// Consensus-group counts for the sharded open-loop sweep (--groups,
-/// threaded backend only). Empty = no group sweep.
-std::vector<uint32_t> g_group_counts;
-/// Open-loop Poisson arrival rate, req/s per client pool (--arrival-rate).
-double g_arrival_rate = 2000.0;
-/// End-to-end latency SLO for the group sweep (--slo-ms).
-double g_slo_ms = 500.0;
-
-/// Resolved group sweep: groups=1 always leads so every sweep carries the
-/// unsharded reference point scaling claims are made against.
-std::vector<uint32_t> GroupCounts() {
-  std::vector<uint32_t> counts = g_group_counts;
-  if (counts.empty()) return counts;
-  if (std::find(counts.begin(), counts.end(), 1u) == counts.end()) {
-    counts.insert(counts.begin(), 1);
-  }
-  return counts;
-}
-
 /// Runs `body` with wall-clock and hash-count accounting around it. The
 /// CryptoMeter credits hashing done on this thread outside any nested
 /// per-run meter; declarative sweeps add their workers' per-run counts to
@@ -196,12 +192,27 @@ ScenarioResult Instrumented(const std::function<void(ScenarioResult&)>& body) {
   return r;
 }
 
-template <typename Cluster>
-void FillClusterCounters(Cluster& cluster, ScenarioResult& r) {
+/// Runs a simulated PrestigeBFT cluster through `warmup` then `measure`
+/// and fills the client-observed metrics of the measurement window.
+/// `at_measure` runs between the two (e.g. to crash the leader).
+void MeasureWindow(
+    harness::Cluster<core::PrestigeReplica, core::PrestigeConfig>& cluster,
+    util::DurationMicros warmup, util::DurationMicros measure,
+    ScenarioResult& r, const std::function<void()>& at_measure = {}) {
+  cluster.Start();
+  cluster.RunFor(warmup);
+  const int64_t before = cluster.ClientCommitted();
+  if (at_measure) at_measure();
+  cluster.RunFor(measure);
+  r.committed = cluster.ClientCommitted() - before;
+  r.tps = static_cast<double>(r.committed) / util::ToSeconds(measure);
+  r.p50_ms = cluster.LatencyPercentileMs(50);
+  r.p99_ms = cluster.LatencyPercentileMs(99);
   for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
     r.view_changes += cluster.replica(i).metrics().view_changes_started;
     r.elections_won += cluster.replica(i).metrics().elections_won;
   }
+  r.events = cluster.simulator().events_executed();
 }
 
 /// Steady-state replication on an n-server fault-free cluster.
@@ -211,18 +222,7 @@ ScenarioResult RunReplication(uint32_t n) {
     core::PrestigeConfig config = PaperPrestigeConfig(n, 1000);
     harness::Cluster<core::PrestigeReplica, core::PrestigeConfig> cluster(
         config, SaturatingWorkload(/*seed=*/42, /*pools=*/8, /*clients=*/200));
-    cluster.Start();
-    const util::DurationMicros warmup = util::Seconds(2);
-    const util::DurationMicros measure = util::Seconds(4);
-    cluster.RunFor(warmup);
-    const int64_t before = cluster.ClientCommitted();
-    cluster.RunFor(measure);
-    r.committed = cluster.ClientCommitted() - before;
-    r.tps = static_cast<double>(r.committed) / util::ToSeconds(measure);
-    r.p50_ms = cluster.LatencyPercentileMs(50);
-    r.p99_ms = cluster.LatencyPercentileMs(99);
-    FillClusterCounters(cluster, r);
-    r.events = cluster.simulator().events_executed();
+    MeasureWindow(cluster, util::Seconds(2), util::Seconds(4), r);
   });
 }
 
@@ -236,18 +236,7 @@ ScenarioResult RunViewChangeChurn() {
     config.rotation_period = util::Seconds(1);
     harness::Cluster<core::PrestigeReplica, core::PrestigeConfig> cluster(
         config, SaturatingWorkload(/*seed=*/7, /*pools=*/4, /*clients=*/100));
-    cluster.Start();
-    const util::DurationMicros warmup = util::Seconds(2);
-    const util::DurationMicros measure = util::Seconds(8);
-    cluster.RunFor(warmup);
-    const int64_t before = cluster.ClientCommitted();
-    cluster.RunFor(measure);
-    r.committed = cluster.ClientCommitted() - before;
-    r.tps = static_cast<double>(r.committed) / util::ToSeconds(measure);
-    r.p50_ms = cluster.LatencyPercentileMs(50);
-    r.p99_ms = cluster.LatencyPercentileMs(99);
-    FillClusterCounters(cluster, r);
-    r.events = cluster.simulator().events_executed();
+    MeasureWindow(cluster, util::Seconds(2), util::Seconds(8), r);
   });
 }
 
@@ -262,19 +251,9 @@ ScenarioResult RunLeaderCrash() {
     harness::Cluster<core::PrestigeReplica, core::PrestigeConfig> cluster(
         config, SaturatingWorkload(/*seed=*/13, /*pools=*/4, /*clients=*/100),
         faults);
-    cluster.Start();
-    const util::DurationMicros warmup = util::Seconds(2);
-    const util::DurationMicros measure = util::Seconds(6);
-    cluster.RunFor(warmup);
-    const int64_t before = cluster.ClientCommitted();
-    cluster.SetReplicaDown(0, true);  // Replica 0 starts as view-1 leader.
-    cluster.RunFor(measure);
-    r.committed = cluster.ClientCommitted() - before;
-    r.tps = static_cast<double>(r.committed) / util::ToSeconds(measure);
-    r.p50_ms = cluster.LatencyPercentileMs(50);
-    r.p99_ms = cluster.LatencyPercentileMs(99);
-    FillClusterCounters(cluster, r);
-    r.events = cluster.simulator().events_executed();
+    // Replica 0 starts as view-1 leader.
+    MeasureWindow(cluster, util::Seconds(2), util::Seconds(6), r,
+                  [&cluster] { cluster.SetReplicaDown(0, true); });
   });
 }
 
@@ -339,21 +318,22 @@ harness::WorkloadOptions ScenarioWorkload(uint64_t seed) {
 /// arrivals, zipfian keys, bounded admission. The per-pool rate is fixed
 /// (not divided by G), so offered load scales with the group count — the
 /// planet-scale question is whether committed throughput follows it.
-harness::WorkloadOptions GroupSweepWorkload(uint64_t seed, uint32_t groups) {
+harness::WorkloadOptions GroupSweepWorkload(const Options& options,
+                                            uint32_t groups) {
   harness::WorkloadOptions w;
   w.num_pools = 2;  // Per group.
   w.payload_size = 32;
   w.client_timeout = util::Seconds(1);
-  w.seed = seed;
+  w.seed = options.base_seed;
   w.kv_key_space = 1 << 16;
   w.num_groups = groups;
   w.open_loop = true;
   w.arrival.kind = workload::ArrivalKind::kPoisson;
-  w.arrival.rate_per_sec = g_arrival_rate;
+  w.arrival.rate_per_sec = options.arrival_rate;
   w.zipf_theta = 0.5;
   w.max_outstanding = 1024;
   w.max_backlog = 4096;
-  w.slo_ms = g_slo_ms;
+  w.slo_ms = options.slo_ms;
   return w;
 }
 
@@ -406,31 +386,34 @@ std::string ProtocolJson(const char* protocol,
   return out;
 }
 
-/// Runs `spec` as a seed sweep on PrestigeBFT + the HotStuff and SBFT
-/// baselines. Flat result fields mirror the PrestigeBFT aggregate.
-ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
-  const uint32_t seeds = g_sweep_seeds;
-  const uint64_t base_seed = g_sweep_base_seed;
-  const uint32_t jobs = g_jobs == 0 ? DefaultJobs() : g_jobs;
-  ScenarioResult result = Instrumented([&](ScenarioResult& r) {
-    r.n = spec.n;
+/// Seed-sweeps the scenario `spec_fn` yields per seed on PrestigeBFT + the
+/// HotStuff and SBFT baselines. Flat result fields mirror the PrestigeBFT
+/// aggregate; `label` names the scenario in safety-violation reports.
+template <typename SpecFn>
+ScenarioResult SweepProtocols(const SpecFn& spec_fn, const std::string& label,
+                              const Options& options) {
+  const uint32_t seeds = options.seeds;
+  const uint64_t base_seed = options.base_seed;
+  const uint32_t jobs = options.ResolvedJobs();
+  return Instrumented([&](ScenarioResult& r) {
+    const uint32_t n = spec_fn(base_seed).n;
+    r.n = n;
 
-    const auto prestige =
-        harness::RunScenarioSweep<core::PrestigeReplica, core::PrestigeConfig>(
-            spec, PaperPrestigeConfig(spec.n, 500), ScenarioWorkload(0),
-            base_seed, seeds, jobs);
-    const auto hotstuff = harness::RunScenarioSweep<
+    const auto prestige = harness::RunScenarioSweepGen<
+        core::PrestigeReplica, core::PrestigeConfig>(
+        spec_fn, PaperPrestigeConfig(n, 500), ScenarioWorkload(0), base_seed,
+        seeds, jobs);
+    const auto hotstuff = harness::RunScenarioSweepGen<
         baselines::hotstuff::HotStuffReplica,
         baselines::hotstuff::HotStuffConfig>(
-        spec, PaperHotStuffConfig(spec.n, 500), ScenarioWorkload(0),
-        base_seed, seeds, jobs);
+        spec_fn, PaperHotStuffConfig(n, 500), ScenarioWorkload(0), base_seed,
+        seeds, jobs);
     baselines::sbft::SbftConfig sbft_config;
-    sbft_config.n = spec.n;
+    sbft_config.n = n;
     sbft_config.batch_size = 500;
-    const auto sbft =
-        harness::RunScenarioSweep<baselines::sbft::SbftReplica,
-                                  baselines::sbft::SbftConfig>(
-            spec, sbft_config, ScenarioWorkload(0), base_seed, seeds, jobs);
+    const auto sbft = harness::RunScenarioSweepGen<
+        baselines::sbft::SbftReplica, baselines::sbft::SbftConfig>(
+        spec_fn, sbft_config, ScenarioWorkload(0), base_seed, seeds, jobs);
 
     r.committed = prestige.committed_total;
     r.tps = prestige.tps_mean;
@@ -466,368 +449,287 @@ ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
         if (!seed.safety_ok) {
           std::fprintf(stderr,
                        "bench_runner: SAFETY VIOLATION %s seed %llu: %s\n",
-                       spec.name.c_str(),
+                       label.c_str(),
                        static_cast<unsigned long long>(seed.seed),
                        seed.violation.c_str());
         }
       }
     }
   });
-
-  // Real-time comparison runs: the same workload on the threaded backend
-  // (PrestigeBFT; wall-clock numbers, scheduler-dependent by design), once
-  // per --workers count. The flat "threaded" fields always describe the
-  // workers=0 classic path — CI gates read them — and the full sweep rides
-  // in "worker_sweep". Deliberately OUTSIDE the Instrumented window:
-  // wall_ms / events / events_per_sec track the simulator hot path across
-  // PRs, and a 6 s real-time sleep per count would corrupt that trajectory.
-  if (g_threaded) {
-    std::vector<harness::ThreadedRunResult> sweep;
-    for (const uint32_t workers : WorkerCounts()) {
-      harness::WorkloadOptions workload = ScenarioWorkload(g_sweep_base_seed);
-      workload.workers_per_node = workers;
-      const harness::ThreadedRunResult rt =
-          harness::RunThreadedScenario<core::PrestigeReplica,
-                                       core::PrestigeConfig>(
-              spec, PaperPrestigeConfig(spec.n, 500), workload);
-      if (!rt.ran) {
-        std::fprintf(stderr, "bench_runner: threaded run skipped: %s\n",
-                     rt.error.c_str());
-        result.safe = false;
-        break;
-      }
-      if (!rt.safety_ok) {
-        std::fprintf(stderr,
-                     "bench_runner: SAFETY VIOLATION (threaded, workers=%u) "
-                     "%s: %s\n",
-                     workers, spec.name.c_str(), rt.violation.c_str());
-        result.safe = false;
-      }
-      std::printf(
-          "  threaded[workers=%u]: committed=%lld tps=%.1f p50=%.2fms "
-          "p99=%.2fms msgs=%llu safe=%s   (sim tps=%.1f p50=%.2fms)\n",
-          workers, static_cast<long long>(rt.committed), rt.tps, rt.p50_ms,
-          rt.p99_ms, static_cast<unsigned long long>(rt.messages_delivered),
-          rt.safety_ok ? "yes" : "NO", result.tps, result.p50_ms);
-      sweep.push_back(rt);
-    }
-    // Sharded open-loop group sweep (--groups): one wall-clock run per
-    // group count — G disjoint consensus groups of spec.n replicas each
-    // behind a shard::Router, open-loop Poisson load, and the full
-    // cross-group safety sweep. The flat threaded fields above are
-    // untouched: they keep describing the classic unsharded closed-loop
-    // run, so trajectory tooling reads every BENCH file uniformly.
-    std::string group_json;
-    const std::vector<uint32_t> group_counts = GroupCounts();
-    if (!sweep.empty()) {
-      for (size_t gi = 0; gi < group_counts.size(); ++gi) {
-        const uint32_t groups = group_counts[gi];
-        const harness::ShardedRunResult sr =
-            harness::RunShardedThreaded<core::PrestigeReplica,
-                                        core::PrestigeConfig>(
-                PaperPrestigeConfig(spec.n, 500),
-                GroupSweepWorkload(g_sweep_base_seed, groups),
-                spec.TotalDuration(),
-                [] { return std::make_unique<app::KvService>(1 << 16); });
-        if (!sr.safety_ok) {
-          std::fprintf(stderr,
-                       "bench_runner: SAFETY VIOLATION (threaded, "
-                       "groups=%u) %s: %s\n",
-                       groups, spec.name.c_str(), sr.violation.c_str());
-          result.safe = false;
-        }
-        std::printf(
-            "  threaded[groups=%u]: committed=%lld tps=%.1f "
-            "e2e_p50=%.2fms e2e_p99=%.2fms slo_frac=%.3f shed=%lld "
-            "keys=%lld safe=%s\n",
-            groups, static_cast<long long>(sr.committed), sr.tps,
-            sr.e2e_p50_ms, sr.e2e_p99_ms, sr.slo_fraction,
-            static_cast<long long>(sr.shed),
-            static_cast<long long>(sr.distinct_keys),
-            sr.safety_ok ? "yes" : "NO");
-        char gbuf[640];
-        std::snprintf(
-            gbuf, sizeof(gbuf),
-            "      {\"groups\": %u, \"duration_seconds\": %.3f, "
-            "\"committed\": %lld, \"throughput_tps\": %.1f, "
-            "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
-            "\"e2e_p50_ms\": %.4f, \"e2e_p99_ms\": %.4f, "
-            "\"e2e_p999_ms\": %.4f, \"slo_ms\": %.1f, "
-            "\"slo_fraction\": %.4f, \"arrivals\": %lld, "
-            "\"admitted\": %lld, \"shed\": %lld, \"routed_txs\": %lld, "
-            "\"distinct_keys\": %lld, \"safe\": %s}%s\n",
-            sr.groups, sr.duration_seconds,
-            static_cast<long long>(sr.committed), sr.tps, sr.p50_ms,
-            sr.p99_ms, sr.e2e_p50_ms, sr.e2e_p99_ms, sr.e2e_p999_ms,
-            sr.slo_ms, sr.slo_fraction,
-            static_cast<long long>(sr.arrivals),
-            static_cast<long long>(sr.admitted),
-            static_cast<long long>(sr.shed),
-            static_cast<long long>(sr.routed_txs),
-            static_cast<long long>(sr.distinct_keys),
-            sr.safety_ok ? "true" : "false",
-            gi + 1 < group_counts.size() ? "," : "");
-        group_json += gbuf;
-      }
-    }
-    if (!sweep.empty()) {
-      const harness::ThreadedRunResult& rt = sweep.front();  // workers=0.
-      char tbuf[768];
-      std::snprintf(
-          tbuf, sizeof(tbuf),
-          "  \"threaded\": {\n"
-          "    \"protocol\": \"prestigebft\",\n"
-          "    \"duration_seconds\": %.3f,\n"
-          "    \"committed\": %lld,\n"
-          "    \"throughput_tps\": %.1f,\n"
-          "    \"p50_latency_ms\": %.4f,\n"
-          "    \"p99_latency_ms\": %.4f,\n"
-          "    \"mean_latency_ms\": %.4f,\n"
-          "    \"view_changes\": %lld,\n"
-          "    \"replies\": %lld,\n"
-          "    \"duplicate_suppressed\": %lld,\n"
-          "    \"result_mismatches\": %lld,\n"
-          "    \"executed\": %lld,\n"
-          "    \"messages_delivered\": %llu,\n"
-          "    \"min_height\": %lld,\n"
-          "    \"max_height\": %lld,\n"
-          "    \"safe\": %s,\n"
-          "    \"worker_sweep\": [\n",
-          rt.duration_seconds, static_cast<long long>(rt.committed), rt.tps,
-          rt.p50_ms, rt.p99_ms, rt.mean_ms,
-          static_cast<long long>(rt.view_changes),
-          static_cast<long long>(rt.replies),
-          static_cast<long long>(rt.duplicate_suppressed),
-          static_cast<long long>(rt.result_mismatches),
-          static_cast<long long>(rt.executed),
-          static_cast<unsigned long long>(rt.messages_delivered),
-          static_cast<long long>(rt.min_height),
-          static_cast<long long>(rt.max_height),
-          rt.safety_ok ? "true" : "false");
-      result.extra_json += tbuf;
-      for (size_t i = 0; i < sweep.size(); ++i) {
-        const harness::ThreadedRunResult& wr = sweep[i];
-        char wbuf[384];
-        std::snprintf(
-            wbuf, sizeof(wbuf),
-            "      {\"workers\": %u, \"duration_seconds\": %.3f, "
-            "\"committed\": %lld, \"throughput_tps\": %.1f, "
-            "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
-            "\"mean_latency_ms\": %.4f, \"messages_delivered\": %llu, "
-            "\"safe\": %s}%s\n",
-            wr.workers, wr.duration_seconds,
-            static_cast<long long>(wr.committed), wr.tps, wr.p50_ms,
-            wr.p99_ms, wr.mean_ms,
-            static_cast<unsigned long long>(wr.messages_delivered),
-            wr.safety_ok ? "true" : "false",
-            i + 1 < sweep.size() ? "," : "");
-        result.extra_json += wbuf;
-      }
-      result.extra_json += "    ]";
-      if (!group_json.empty()) {
-        result.extra_json += ",\n    \"group_sweep\": [\n";
-        result.extra_json += group_json;
-        result.extra_json += "    ]";
-      }
-      result.extra_json += "\n  },\n";
-    }
-  }
-
-  // Socket-backend comparison run: the same workload with every node's
-  // traffic crossing real loopback UDP datagrams through the wire codec
-  // and per-peer sequence framing. Like the threaded block this stays
-  // OUTSIDE the Instrumented window (real-time sleep would corrupt the
-  // simulator wall/event trajectory). The "socket" JSON block carries the
-  // frame/drop counters so CI can watch the decode-hardening surface.
-  if (g_socket) {
-    const harness::SocketRunResult sr =
-        harness::RunSocketScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(
-            spec, PaperPrestigeConfig(spec.n, 500),
-            ScenarioWorkload(g_sweep_base_seed));
-    if (!sr.base.ran) {
-      std::fprintf(stderr, "bench_runner: socket run skipped: %s\n",
-                   sr.base.error.c_str());
-      result.safe = false;
-    } else {
-      if (!sr.base.safety_ok) {
-        std::fprintf(stderr,
-                     "bench_runner: SAFETY VIOLATION (socket) %s: %s\n",
-                     spec.name.c_str(), sr.base.violation.c_str());
-        result.safe = false;
-      }
-      std::printf(
-          "  socket: committed=%lld tps=%.1f p50=%.2fms p99=%.2fms "
-          "frames=%llu/%llu gaps=%llu drops=%llu safe=%s   (sim "
-          "tps=%.1f)\n",
-          static_cast<long long>(sr.base.committed), sr.base.tps,
-          sr.base.p50_ms, sr.base.p99_ms,
-          static_cast<unsigned long long>(sr.net.frames_sent),
-          static_cast<unsigned long long>(sr.net.frames_received),
-          static_cast<unsigned long long>(sr.net.seq_gaps),
-          static_cast<unsigned long long>(
-              sr.net.header_drops + sr.net.length_drops +
-              sr.net.checksum_drops + sr.net.frag_drops +
-              sr.net.decode_drops),
-          sr.base.safety_ok ? "yes" : "NO", result.tps);
-      char sbuf[1024];
-      std::snprintf(
-          sbuf, sizeof(sbuf),
-          "  \"socket\": {\n"
-          "    \"protocol\": \"prestigebft\",\n"
-          "    \"duration_seconds\": %.3f,\n"
-          "    \"committed\": %lld,\n"
-          "    \"throughput_tps\": %.1f,\n"
-          "    \"p50_latency_ms\": %.4f,\n"
-          "    \"p99_latency_ms\": %.4f,\n"
-          "    \"mean_latency_ms\": %.4f,\n"
-          "    \"view_changes\": %lld,\n"
-          "    \"replies\": %lld,\n"
-          "    \"duplicate_suppressed\": %lld,\n"
-          "    \"result_mismatches\": %lld,\n"
-          "    \"executed\": %lld,\n"
-          "    \"messages_delivered\": %llu,\n"
-          "    \"min_height\": %lld,\n"
-          "    \"max_height\": %lld,\n"
-          "    \"safe\": %s,\n"
-          "    \"net\": {\"frames_sent\": %llu, \"frames_received\": %llu,\n"
-          "      \"messages_assembled\": %llu, \"seq_gaps\": %llu,\n"
-          "      \"seq_out_of_order\": %llu, \"header_drops\": %llu,\n"
-          "      \"checksum_drops\": %llu, \"length_drops\": %llu,\n"
-          "      \"frag_drops\": %llu, \"decode_drops\": %llu,\n"
-          "      \"send_errors\": %llu, \"unserializable_drops\": %llu}\n"
-          "  },\n",
-          sr.base.duration_seconds, static_cast<long long>(sr.base.committed),
-          sr.base.tps, sr.base.p50_ms, sr.base.p99_ms, sr.base.mean_ms,
-          static_cast<long long>(sr.base.view_changes),
-          static_cast<long long>(sr.base.replies),
-          static_cast<long long>(sr.base.duplicate_suppressed),
-          static_cast<long long>(sr.base.result_mismatches),
-          static_cast<long long>(sr.base.executed),
-          static_cast<unsigned long long>(sr.base.messages_delivered),
-          static_cast<long long>(sr.base.min_height),
-          static_cast<long long>(sr.base.max_height),
-          sr.base.safety_ok ? "true" : "false",
-          static_cast<unsigned long long>(sr.net.frames_sent),
-          static_cast<unsigned long long>(sr.net.frames_received),
-          static_cast<unsigned long long>(sr.net.messages_assembled),
-          static_cast<unsigned long long>(sr.net.seq_gaps),
-          static_cast<unsigned long long>(sr.net.seq_out_of_order),
-          static_cast<unsigned long long>(sr.net.header_drops),
-          static_cast<unsigned long long>(sr.net.checksum_drops),
-          static_cast<unsigned long long>(sr.net.length_drops),
-          static_cast<unsigned long long>(sr.net.frag_drops),
-          static_cast<unsigned long long>(sr.net.decode_drops),
-          static_cast<unsigned long long>(sr.net.send_errors),
-          static_cast<unsigned long long>(sr.net.unserializable_drops));
-      result.extra_json += sbuf;
-    }
-  }
-  return result;
 }
 
-/// Seed-swept adversary-schedule fuzzer: every seed runs a *different*
-/// randomized ByzantineSpec (harness::ByzantineFuzzSpec), on all three
-/// protocols, through the generator sweep. Deterministic like every other
-/// sweep — the schedule is a pure function of the seed — so the per-seed
-/// JSON blocks are byte-identical for any --jobs value.
-ScenarioResult RunByzantineFuzz() {
-  const uint32_t seeds = g_sweep_seeds;
-  const uint64_t base_seed = g_sweep_base_seed;
-  const uint32_t jobs = g_jobs == 0 ? DefaultJobs() : g_jobs;
-  return Instrumented([&](ScenarioResult& r) {
-    const harness::ScenarioSpec first = harness::ByzantineFuzzSpec(base_seed);
-    r.n = first.n;
+/// The shared head of the "threaded" and "socket" JSON blocks: one
+/// wall-clock PrestigeBFT run. The caller appends the backend's own
+/// members and closes the block.
+std::string WallClockJson(const char* backend, const harness::RunResult& rt) {
+  char buf[768];
+  std::snprintf(
+      buf, sizeof(buf),
+      "  \"%s\": {\n"
+      "    \"protocol\": \"prestigebft\",\n"
+      "    \"duration_seconds\": %.3f,\n"
+      "    \"committed\": %lld,\n"
+      "    \"throughput_tps\": %.1f,\n"
+      "    \"p50_latency_ms\": %.4f,\n"
+      "    \"p99_latency_ms\": %.4f,\n"
+      "    \"mean_latency_ms\": %.4f,\n"
+      "    \"view_changes\": %lld,\n"
+      "    \"replies\": %lld,\n"
+      "    \"duplicate_suppressed\": %lld,\n"
+      "    \"result_mismatches\": %lld,\n"
+      "    \"executed\": %lld,\n"
+      "    \"messages_delivered\": %llu,\n"
+      "    \"min_height\": %lld,\n"
+      "    \"max_height\": %lld,\n"
+      "    \"safe\": %s,\n",
+      backend, rt.duration_seconds, static_cast<long long>(rt.committed),
+      rt.tps, rt.p50_ms, rt.p99_ms, rt.mean_ms,
+      static_cast<long long>(rt.view_changes),
+      static_cast<long long>(rt.replies),
+      static_cast<long long>(rt.duplicate_suppressed),
+      static_cast<long long>(rt.result_mismatches),
+      static_cast<long long>(rt.executed),
+      static_cast<unsigned long long>(rt.messages_delivered),
+      static_cast<long long>(rt.min_height),
+      static_cast<long long>(rt.max_height),
+      rt.safety_ok ? "true" : "false");
+  return buf;
+}
 
-    const auto prestige = harness::RunScenarioSweepGen<
-        core::PrestigeReplica, core::PrestigeConfig>(
-        [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
-        PaperPrestigeConfig(first.n, 500), ScenarioWorkload(0), base_seed,
-        seeds, jobs);
-    const auto hotstuff = harness::RunScenarioSweepGen<
-        baselines::hotstuff::HotStuffReplica,
-        baselines::hotstuff::HotStuffConfig>(
-        [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
-        PaperHotStuffConfig(first.n, 500), ScenarioWorkload(0), base_seed,
-        seeds, jobs);
-    baselines::sbft::SbftConfig sbft_config;
-    sbft_config.n = first.n;
-    sbft_config.batch_size = 500;
-    const auto sbft = harness::RunScenarioSweepGen<
-        baselines::sbft::SbftReplica, baselines::sbft::SbftConfig>(
-        [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
-        sbft_config, ScenarioWorkload(0), base_seed, seeds, jobs);
-
-    r.committed = prestige.committed_total;
-    r.tps = prestige.tps_mean;
-    r.p50_ms = prestige.p50_ms_mean;
-    r.p99_ms = prestige.p99_ms_mean;
-    r.view_changes = prestige.view_changes_total;
-    r.elections_won = prestige.elections_won_total;
-    r.replies = prestige.replies_total;
-    r.duplicate_suppressed = prestige.duplicate_suppressed_total;
-    r.result_mismatches = prestige.result_mismatches_total;
-    r.safe = prestige.all_safe && hotstuff.all_safe && sbft.all_safe;
-    r.sha256_hashes = prestige.hashes_total + hotstuff.hashes_total +
-                      sbft.hashes_total;
-    r.events = prestige.events_total + hotstuff.events_total +
-               sbft.events_total;
-
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"seeds\": %u,\n  \"base_seed\": %llu,\n"
-                  "  \"jobs\": %u,\n"
-                  "  \"all_safe\": %s,\n  \"protocols\": [\n",
-                  seeds, static_cast<unsigned long long>(base_seed), jobs,
-                  r.safe ? "true" : "false");
-    r.extra_json = buf;
-    r.extra_json += ProtocolJson("prestigebft", prestige) + ",\n";
-    r.extra_json += ProtocolJson("hotstuff", hotstuff) + ",\n";
-    r.extra_json += ProtocolJson("sbft", sbft) + "\n  ],\n";
-
-    for (const auto* agg : {&prestige, &hotstuff, &sbft}) {
-      for (const auto& seed : agg->seeds) {
-        if (!seed.safety_ok) {
-          std::fprintf(stderr,
-                       "bench_runner: SAFETY VIOLATION byzantine-fuzz "
-                       "seed %llu: %s\n",
-                       static_cast<unsigned long long>(seed.seed),
-                       seed.violation.c_str());
-        }
-      }
+/// --runtime=threaded: the scenario's workload on the threaded backend
+/// (PrestigeBFT), once per --workers count, then one sharded open-loop
+/// deployment per --groups count. The flat "threaded" fields always
+/// describe the workers=0 classic closed-loop path — CI gates read them —
+/// and the sweeps ride in "worker_sweep" / "group_sweep".
+void RunThreadedComparison(const harness::ScenarioSpec& spec,
+                           const Options& options, ScenarioResult& result) {
+  std::vector<harness::RunResult> sweep;
+  for (const uint32_t workers : options.WorkerCounts()) {
+    harness::WorkloadOptions workload = ScenarioWorkload(options.base_seed);
+    workload.workers_per_node = workers;
+    const harness::RunResult rt = harness::RunWallClockScenario<
+        core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
+        spec, PaperPrestigeConfig(spec.n, 500), workload);
+    if (!rt.ran) {
+      std::fprintf(stderr, "bench_runner: threaded run skipped: %s\n",
+                   rt.error.c_str());
+      result.safe = false;
+      return;
     }
-  });
+    if (!rt.safety_ok) {
+      std::fprintf(stderr,
+                   "bench_runner: SAFETY VIOLATION (threaded, workers=%u) "
+                   "%s: %s\n",
+                   workers, spec.name.c_str(), rt.violation.c_str());
+      result.safe = false;
+    }
+    std::printf(
+        "  threaded[workers=%u]: committed=%lld tps=%.1f p50=%.2fms "
+        "p99=%.2fms msgs=%llu safe=%s   (sim tps=%.1f p50=%.2fms)\n",
+        workers, static_cast<long long>(rt.committed), rt.tps, rt.p50_ms,
+        rt.p99_ms, static_cast<unsigned long long>(rt.messages_delivered),
+        rt.safety_ok ? "yes" : "NO", result.tps, result.p50_ms);
+    sweep.push_back(rt);
+  }
+
+  // Sharded open-loop group sweep: G disjoint consensus groups of spec.n
+  // replicas each behind a shard::Router, open-loop Poisson load, and the
+  // full cross-group safety sweep.
+  std::string group_json;
+  const std::vector<uint32_t> group_counts = options.GroupCounts();
+  for (size_t gi = 0; gi < group_counts.size(); ++gi) {
+    const uint32_t groups = group_counts[gi];
+    const harness::RunResult sr = harness::RunDeployment<
+        core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
+        PaperPrestigeConfig(spec.n, 500), GroupSweepWorkload(options, groups),
+        spec.TotalDuration(),
+        [] { return std::make_unique<app::KvService>(1 << 16); });
+    if (!sr.safety_ok) {
+      std::fprintf(stderr,
+                   "bench_runner: SAFETY VIOLATION (threaded, "
+                   "groups=%u) %s: %s\n",
+                   groups, spec.name.c_str(), sr.violation.c_str());
+      result.safe = false;
+    }
+    std::printf(
+        "  threaded[groups=%u]: committed=%lld tps=%.1f "
+        "e2e_p50=%.2fms e2e_p99=%.2fms slo_frac=%.3f shed=%lld "
+        "keys=%lld safe=%s\n",
+        groups, static_cast<long long>(sr.committed), sr.tps, sr.e2e_p50_ms,
+        sr.e2e_p99_ms, sr.slo_fraction, static_cast<long long>(sr.shed),
+        static_cast<long long>(sr.distinct_keys),
+        sr.safety_ok ? "yes" : "NO");
+    char gbuf[640];
+    std::snprintf(
+        gbuf, sizeof(gbuf),
+        "      {\"groups\": %u, \"duration_seconds\": %.3f, "
+        "\"committed\": %lld, \"throughput_tps\": %.1f, "
+        "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
+        "\"e2e_p50_ms\": %.4f, \"e2e_p99_ms\": %.4f, "
+        "\"e2e_p999_ms\": %.4f, \"slo_ms\": %.1f, "
+        "\"slo_fraction\": %.4f, \"arrivals\": %lld, "
+        "\"admitted\": %lld, \"shed\": %lld, \"routed_txs\": %lld, "
+        "\"distinct_keys\": %lld, \"safe\": %s}%s\n",
+        sr.groups, sr.duration_seconds, static_cast<long long>(sr.committed),
+        sr.tps, sr.p50_ms, sr.p99_ms, sr.e2e_p50_ms, sr.e2e_p99_ms,
+        sr.e2e_p999_ms, sr.slo_ms, sr.slo_fraction,
+        static_cast<long long>(sr.arrivals),
+        static_cast<long long>(sr.admitted), static_cast<long long>(sr.shed),
+        static_cast<long long>(sr.routed_txs),
+        static_cast<long long>(sr.distinct_keys),
+        sr.safety_ok ? "true" : "false",
+        gi + 1 < group_counts.size() ? "," : "");
+    group_json += gbuf;
+  }
+
+  result.extra_json += WallClockJson("threaded", sweep.front());  // workers=0
+  result.extra_json += "    \"worker_sweep\": [\n";
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const harness::RunResult& wr = sweep[i];
+    char wbuf[384];
+    std::snprintf(
+        wbuf, sizeof(wbuf),
+        "      {\"workers\": %u, \"duration_seconds\": %.3f, "
+        "\"committed\": %lld, \"throughput_tps\": %.1f, "
+        "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
+        "\"mean_latency_ms\": %.4f, \"messages_delivered\": %llu, "
+        "\"safe\": %s}%s\n",
+        wr.workers, wr.duration_seconds, static_cast<long long>(wr.committed),
+        wr.tps, wr.p50_ms, wr.p99_ms, wr.mean_ms,
+        static_cast<unsigned long long>(wr.messages_delivered),
+        wr.safety_ok ? "true" : "false", i + 1 < sweep.size() ? "," : "");
+    result.extra_json += wbuf;
+  }
+  result.extra_json += "    ]";
+  if (!group_json.empty()) {
+    result.extra_json += ",\n    \"group_sweep\": [\n";
+    result.extra_json += group_json;
+    result.extra_json += "    ]";
+  }
+  result.extra_json += "\n  },\n";
+}
+
+/// --runtime=socket: the same workload with every node's traffic crossing
+/// real loopback UDP datagrams through the wire codec and per-peer
+/// sequence framing. The "socket" block adds the frame/drop counters so CI
+/// can watch the decode-hardening surface.
+void RunSocketComparison(const harness::ScenarioSpec& spec,
+                         const Options& options, ScenarioResult& result) {
+  const harness::RunResult sr = harness::RunWallClockScenario<
+      core::PrestigeReplica, core::PrestigeConfig, harness::SocketBackend>(
+      spec, PaperPrestigeConfig(spec.n, 500),
+      ScenarioWorkload(options.base_seed));
+  if (!sr.ran) {
+    std::fprintf(stderr, "bench_runner: socket run skipped: %s\n",
+                 sr.error.c_str());
+    result.safe = false;
+    return;
+  }
+  if (!sr.safety_ok) {
+    std::fprintf(stderr, "bench_runner: SAFETY VIOLATION (socket) %s: %s\n",
+                 spec.name.c_str(), sr.violation.c_str());
+    result.safe = false;
+  }
+  const net::FrameCounters& net = sr.net;
+  std::printf(
+      "  socket: committed=%lld tps=%.1f p50=%.2fms p99=%.2fms "
+      "frames=%llu/%llu gaps=%llu drops=%llu safe=%s   (sim "
+      "tps=%.1f)\n",
+      static_cast<long long>(sr.committed), sr.tps, sr.p50_ms, sr.p99_ms,
+      static_cast<unsigned long long>(net.frames_sent),
+      static_cast<unsigned long long>(net.frames_received),
+      static_cast<unsigned long long>(net.seq_gaps),
+      static_cast<unsigned long long>(net.header_drops + net.length_drops +
+                                      net.checksum_drops + net.frag_drops +
+                                      net.decode_drops),
+      sr.safety_ok ? "yes" : "NO", result.tps);
+  char nbuf[640];
+  std::snprintf(
+      nbuf, sizeof(nbuf),
+      "    \"net\": {\"frames_sent\": %llu, \"frames_received\": %llu,\n"
+      "      \"messages_assembled\": %llu, \"seq_gaps\": %llu,\n"
+      "      \"seq_out_of_order\": %llu, \"header_drops\": %llu,\n"
+      "      \"checksum_drops\": %llu, \"length_drops\": %llu,\n"
+      "      \"frag_drops\": %llu, \"decode_drops\": %llu,\n"
+      "      \"send_errors\": %llu, \"unserializable_drops\": %llu}\n"
+      "  },\n",
+      static_cast<unsigned long long>(net.frames_sent),
+      static_cast<unsigned long long>(net.frames_received),
+      static_cast<unsigned long long>(net.messages_assembled),
+      static_cast<unsigned long long>(net.seq_gaps),
+      static_cast<unsigned long long>(net.seq_out_of_order),
+      static_cast<unsigned long long>(net.header_drops),
+      static_cast<unsigned long long>(net.checksum_drops),
+      static_cast<unsigned long long>(net.length_drops),
+      static_cast<unsigned long long>(net.frag_drops),
+      static_cast<unsigned long long>(net.decode_drops),
+      static_cast<unsigned long long>(net.send_errors),
+      static_cast<unsigned long long>(net.unserializable_drops));
+  result.extra_json += WallClockJson("socket", sr) + nbuf;
+}
+
+/// Runs `spec` as a seed sweep on all three protocols, then — under a
+/// real-time --runtime — once more on that backend. The wall-clock run
+/// stays OUTSIDE the Instrumented window: wall_ms / events /
+/// events_per_sec track the simulator hot path across PRs, and a 6 s
+/// real-time sleep would corrupt that trajectory.
+ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec,
+                              const Options& options) {
+  ScenarioResult result = SweepProtocols(
+      [&spec](uint64_t) { return spec; }, spec.name, options);
+  switch (options.runtime) {
+    case Runtime::kSim:
+      break;
+    case Runtime::kThreaded:
+      RunThreadedComparison(spec, options, result);
+      break;
+    case Runtime::kSocket:
+      RunSocketComparison(spec, options, result);
+      break;
+  }
+  return result;
 }
 
 struct Scenario {
   const char* name;
   const char* description;
-  std::function<ScenarioResult()> run;
+  std::function<ScenarioResult(const Options&)> run;
 };
 
 const std::vector<Scenario>& Scenarios() {
   static const std::vector<Scenario> kScenarios = [] {
     std::vector<Scenario> scenarios = {
         {"replication_n4", "steady-state replication, n=4, fault-free",
-         [] { return RunReplication(4); }},
+         [](const Options&) { return RunReplication(4); }},
         {"replication_n16", "steady-state replication, n=16, fault-free",
-         [] { return RunReplication(16); }},
+         [](const Options&) { return RunReplication(16); }},
         {"view_change_churn", "1s leader rotation, n=8 (active view changes)",
-         [] { return RunViewChangeChurn(); }},
+         [](const Options&) { return RunViewChangeChurn(); }},
         {"leader_crash", "leader crash at t=3s, n=4 (forced view change)",
-         [] { return RunLeaderCrash(); }},
+         [](const Options&) { return RunLeaderCrash(); }},
         {"digest_micro", "repeated TxBlock/VcBlock digest reads (hot path)",
-         [] { return RunDigestMicro(); }},
+         [](const Options&) { return RunDigestMicro(); }},
+        // Seed-randomized adversary-schedule fuzzer: every seed runs a
+        // *different* ByzantineSpec (harness::ByzantineFuzzSpec) — a pure
+        // function of the seed, so per-seed JSON stays byte-identical for
+        // any --jobs value.
         {"byzantine-fuzz",
          "seed-randomized adversary schedules, all protocols (fuzzer)",
-         [] { return RunByzantineFuzz(); }},
+         [](const Options& options) {
+           return SweepProtocols(
+               [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
+               "byzantine-fuzz", options);
+         }},
     };
     // Declarative fault scenarios (seed-swept over all three protocols).
     // The specs live in a function-local static, so the c_str() pointers
     // stay valid for the process lifetime.
     for (const harness::ScenarioSpec& spec : harness::NamedScenarios()) {
-      scenarios.push_back({spec.name.c_str(), spec.description.c_str(),
-                           [&spec] { return RunDeclarative(spec); }});
+      scenarios.push_back(
+          {spec.name.c_str(), spec.description.c_str(),
+           [&spec](const Options& options) {
+             return RunDeclarative(spec, options);
+           }});
     }
     return scenarios;
   }();
@@ -936,30 +838,54 @@ void PrintList() {
       "            (fault-free declarative scenarios only)\n");
 }
 
-int Main(int argc, char** argv) {
-  std::string outdir = ".";
-  std::vector<std::string> selected;
+/// Parses a comma-separated list of counts in [lo, hi] for `flag`.
+/// Prints the usage error and returns false on malformed input.
+bool ParseCounts(const char* flag, const char* p, unsigned long lo,
+                 unsigned long hi, std::vector<uint32_t>* out) {
+  out->clear();
+  while (*p != '\0') {
+    char* end = nullptr;
+    const unsigned long v = std::strtoul(p, &end, 10);
+    if (end == p || (*end != ',' && *end != '\0') || v < lo || v > hi) {
+      std::fprintf(stderr,
+                   "bench_runner: %s expects a comma-separated "
+                   "list of counts in [%lu,%lu]\n",
+                   flag, lo, hi);
+      return false;
+    }
+    out->push_back(static_cast<uint32_t>(v));
+    p = *end == ',' ? end + 1 : end;
+  }
+  if (out->empty()) {
+    std::fprintf(stderr, "bench_runner: %s needs a value\n", flag);
+    return false;
+  }
+  return true;
+}
+
+/// Parses argv into `o`. Returns -1 to go on running, otherwise the exit
+/// status: 0 after --list, 2 on a usage error.
+int ParseArgs(int argc, char** argv, Options* o) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--list") == 0) {
+    const char* arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(arg, "--list") == 0) {
       PrintList();
       return 0;
     }
-    if (std::strncmp(argv[i], "--runtime", 9) == 0) {
+    if (std::strncmp(arg, "--runtime", 9) == 0) {
       std::string value;
-      if (argv[i][9] == '=') {
-        value = argv[i] + 10;
-      } else if (argv[i][9] == '\0' && i + 1 < argc) {
+      if (arg[9] == '=') {
+        value = arg + 10;
+      } else if (arg[9] == '\0' && has_value) {
         value = argv[++i];
       }
       if (value == "sim") {
-        g_threaded = false;
-        g_socket = false;
+        o->runtime = Runtime::kSim;
       } else if (value == "threaded") {
-        g_threaded = true;
-        g_socket = false;
+        o->runtime = Runtime::kThreaded;
       } else if (value == "socket") {
-        g_socket = true;
-        g_threaded = false;
+        o->runtime = Runtime::kSocket;
       } else {
         std::fprintf(stderr,
                      "bench_runner: unknown runtime '%s'; valid backends: "
@@ -967,106 +893,60 @@ int Main(int argc, char** argv) {
                      value.c_str());
         return 2;
       }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--outdir") == 0 && i + 1 < argc) {
-      outdir = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
-      selected.emplace_back(argv[++i]);
-      continue;
-    }
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      g_sweep_seeds = static_cast<uint32_t>(std::atoi(argv[++i]));
-      if (g_sweep_seeds == 0) {
+    } else if (std::strcmp(arg, "--outdir") == 0 && has_value) {
+      o->outdir = argv[++i];
+    } else if (std::strcmp(arg, "--scenario") == 0 && has_value) {
+      o->selected.emplace_back(argv[++i]);
+    } else if (std::strcmp(arg, "--seeds") == 0 && has_value) {
+      o->seeds = static_cast<uint32_t>(std::atoi(argv[++i]));
+      if (o->seeds == 0) {
         std::fprintf(stderr, "bench_runner: --seeds must be >= 1\n");
         return 2;
       }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      g_sweep_base_seed = std::strtoull(argv[++i], nullptr, 10);
-      continue;
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(arg, "--seed") == 0 && has_value) {
+      o->base_seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(arg, "--jobs") == 0 && has_value) {
       const int jobs = std::atoi(argv[++i]);
       if (jobs < 1) {
         std::fprintf(stderr, "bench_runner: --jobs must be >= 1\n");
         return 2;
       }
-      g_jobs = static_cast<uint32_t>(jobs);
-      continue;
-    }
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      // Comma-separated per-node prologue worker counts for the threaded
-      // backend; 0 always joins the sweep as the classic-path reference.
-      const char* p = argv[++i];
-      g_worker_counts.clear();
-      while (*p != '\0') {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p || (*end != ',' && *end != '\0') || v > 256) {
-          std::fprintf(stderr,
-                       "bench_runner: --workers expects a comma-separated "
-                       "list of counts in [0,256]\n");
-          return 2;
-        }
-        g_worker_counts.push_back(static_cast<uint32_t>(v));
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (g_worker_counts.empty()) {
-        std::fprintf(stderr, "bench_runner: --workers needs a value\n");
+      o->jobs = static_cast<uint32_t>(jobs);
+    } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
+      if (!ParseCounts("--workers", argv[++i], 0, 256, &o->worker_counts)) {
         return 2;
       }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--groups") == 0 && i + 1 < argc) {
-      // Comma-separated consensus-group counts for the sharded open-loop
-      // sweep (threaded backend); 1 always joins as the unsharded
-      // reference.
-      const char* p = argv[++i];
-      g_group_counts.clear();
-      while (*p != '\0') {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p || (*end != ',' && *end != '\0') || v < 1 || v > 64) {
-          std::fprintf(stderr,
-                       "bench_runner: --groups expects a comma-separated "
-                       "list of counts in [1,64]\n");
-          return 2;
-        }
-        g_group_counts.push_back(static_cast<uint32_t>(v));
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (g_group_counts.empty()) {
-        std::fprintf(stderr, "bench_runner: --groups needs a value\n");
+    } else if (std::strcmp(arg, "--groups") == 0 && has_value) {
+      if (!ParseCounts("--groups", argv[++i], 1, 64, &o->group_counts)) {
         return 2;
       }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--arrival-rate") == 0 && i + 1 < argc) {
-      g_arrival_rate = std::atof(argv[++i]);
-      if (g_arrival_rate <= 0.0) {
+    } else if (std::strcmp(arg, "--arrival-rate") == 0 && has_value) {
+      o->arrival_rate = std::atof(argv[++i]);
+      if (o->arrival_rate <= 0.0) {
         std::fprintf(stderr, "bench_runner: --arrival-rate must be > 0\n");
         return 2;
       }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--slo-ms") == 0 && i + 1 < argc) {
-      g_slo_ms = std::atof(argv[++i]);
-      if (g_slo_ms <= 0.0) {
+    } else if (std::strcmp(arg, "--slo-ms") == 0 && has_value) {
+      o->slo_ms = std::atof(argv[++i]);
+      if (o->slo_ms <= 0.0) {
         std::fprintf(stderr, "bench_runner: --slo-ms must be > 0\n");
         return 2;
       }
-      continue;
-    }
-    if (argv[i][0] == '-') {
-      std::fprintf(stderr, "bench_runner: unknown flag '%s'\n", argv[i]);
+    } else if (arg[0] == '-') {
+      std::fprintf(stderr, "bench_runner: unknown flag '%s'\n", arg);
       return 2;
+    } else {
+      o->selected.emplace_back(arg);
     }
-    selected.emplace_back(argv[i]);
   }
+  return -1;
+}
+
+int Main(int argc, char** argv) {
+  Options options;
+  const int parsed = ParseArgs(argc, argv, &options);
+  if (parsed >= 0) return parsed;
+  std::vector<std::string>& selected = options.selected;
 
   // The pseudo-name "all" selects every scenario, same as passing none.
   if (std::find(selected.begin(), selected.end(), "all") != selected.end()) {
@@ -1089,8 +969,9 @@ int Main(int argc, char** argv) {
 
   // The real-time backends run explicit, fault-free declarative
   // scenarios; reject anything else up front rather than mid-run.
-  if (g_threaded || g_socket) {
-    const char* backend = g_threaded ? "threaded" : "socket";
+  if (options.runtime != Runtime::kSim) {
+    const char* backend =
+        options.runtime == Runtime::kThreaded ? "threaded" : "socket";
     if (selected.empty()) {
       std::fprintf(stderr,
                    "bench_runner: --runtime=%s needs an explicit "
@@ -1120,7 +1001,7 @@ int Main(int argc, char** argv) {
     }
     any = true;
     std::printf("running %-28s (%s)\n", s.name, s.description);
-    const ScenarioResult r = s.run();
+    const ScenarioResult r = s.run(options);
     std::printf(
         "  n=%u committed=%lld tps=%.1f p50=%.2fms p99=%.2fms vc=%lld "
         "wall=%.2fs sha256=%llu%s\n",
@@ -1128,7 +1009,7 @@ int Main(int argc, char** argv) {
         static_cast<long long>(r.view_changes), r.wall_seconds,
         static_cast<unsigned long long>(r.sha256_hashes),
         r.safe ? "" : "  ** SAFETY VIOLATION **");
-    ok = WriteJson(outdir, s.name, r) && r.safe && ok;
+    ok = WriteJson(options.outdir, s.name, r) && r.safe && ok;
   }
   if (!any) {
     std::fprintf(stderr,

@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/logging.h"
-
 namespace prestige {
 namespace core {
 

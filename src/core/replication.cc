@@ -5,7 +5,6 @@
 #include <cassert>
 
 #include "core/replica.h"
-#include "util/logging.h"
 
 namespace prestige {
 namespace core {

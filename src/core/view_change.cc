@@ -8,7 +8,6 @@
 #include <cassert>
 
 #include "core/replica.h"
-#include "util/logging.h"
 
 namespace prestige {
 namespace core {

@@ -1,24 +1,53 @@
-// Cluster: wires n replicas + client pools onto one simulator instance.
+// Cluster: wires n replicas + client pools onto one runtime backend.
 //
 // Generic over the protocol: any Replica type with
 //   Replica(Config, ReplicaId, const KeyStore*, FaultSpec)
-//   SetTopology(replica_actor_ids, client_actor_ids)
-//   metrics() -> core::ReplicaMetrics
+//   SetTopology(replica_node_ids, client_node_ids)
+//   store() / metrics() / fault() / delivery()
 // works (PrestigeBFT and all baselines follow this shape). The protocol
 // Config must expose `n` and `f()`.
+//
+// Generic over the backend too. A backend adapter only registers nodes
+// and starts, runs, and stops the deployment; wiring, pools, services,
+// adversaries, and every aggregate live once, here:
+//   * SimBackend (default) — the deterministic discrete-event simulator:
+//     virtual time, modelled network costs, fault plane, reproducible per
+//     seed;
+//   * ThreadedBackend — runtime::ThreadedRuntime: one OS thread per node,
+//     in-process loopback queues, wall-clock time;
+//   * SocketBackend — runtime::SocketRuntime: one OS thread and one
+//     loopback UDP socket per node; all traffic crosses the kernel through
+//     the net/ framing and wire codec.
+// Protocols speak only runtime::Env and never see which backend drives
+// them. Node ids follow registration order (replicas group-major, then
+// pools group-major) on every backend; the sim and threaded RNG streams
+// are forked in that order too (the socket runtime derives each node's
+// stream from (seed, id)). Thread scheduling makes wall-clock runs
+// nondeterministic.
+//
+// On the wall-clock backends RunFor sleeps while the node threads work;
+// call Stop() before reading replica stores, metrics, or pool counters —
+// the join publishes them to the caller's thread.
 
 #ifndef PRESTIGE_HARNESS_CLUSTER_H_
 #define PRESTIGE_HARNESS_CLUSTER_H_
 
-#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "app/service.h"
 #include "core/metrics.h"
 #include "crypto/keys.h"
 #include "runtime/sim_env.h"
+#include "runtime/socket_env.h"
+#include "runtime/threaded_env.h"
 #include "shard/router.h"
 #include "sim/latency.h"
 #include "sim/network.h"
@@ -43,7 +72,7 @@ struct WorkloadOptions {
   /// Command shape the virtual clients issue (opaque vs real KV puts).
   workload::CommandKind command_kind = workload::CommandKind::kOpaque;
   uint64_t kv_key_space = 1024;
-  /// Threaded backend only (ignored in simulation): size of each node's
+  /// Threaded backend only (ignored by the others): size of each node's
   /// OrderedRunner prologue pool. 0 = classic single-thread-per-node path.
   uint32_t workers_per_node = 0;
 
@@ -75,17 +104,129 @@ struct WorkloadOptions {
   util::TimeMicros open_loop_stop_at = 0;  ///< Stop arrivals (0 = never).
 };
 
-/// A complete simulated deployment of one protocol.
-template <typename Replica, typename Config>
+// ------------------------------------------------------------- backends
+
+/// The deterministic simulator: one SimEnv actor per node on one
+/// Simulator + Network. The default backend.
+class SimBackend {
+ public:
+  static constexpr const char* kName = "sim";
+
+  explicit SimBackend(const WorkloadOptions& workload)
+      : sim_(workload.seed), net_(&sim_, workload.latency, workload.cost) {}
+
+  runtime::NodeId Add(runtime::Node* node, std::string* /*error*/) {
+    envs_.push_back(std::make_unique<runtime::SimEnv>(node));
+    const sim::ActorId id = sim_.AddActor(envs_.back().get());
+    envs_.back()->AttachNetwork(&net_);
+    return id;
+  }
+
+  /// Schedules every node's OnStart, in registration order, at the
+  /// current virtual time.
+  void Start() {
+    // All actors are registered; size the network's per-actor resource
+    // tables once instead of growing them lazily inside Send/Deliver.
+    net_.PresizeActors(sim_.num_actors());
+    for (auto& env : envs_) {
+      sim_.ScheduleAfter(0, [node = env->node()]() { node->OnStart(); });
+    }
+  }
+  void RunFor(util::DurationMicros duration) {
+    sim_.RunUntil(sim_.Now() + duration);
+  }
+  void Stop() {}
+
+  sim::Simulator& simulator() { return sim_; }
+  sim::Network& network() { return net_; }
+
+ private:
+  sim::Simulator sim_;
+  sim::Network net_;
+  std::vector<std::unique_ptr<runtime::SimEnv>> envs_;
+};
+
+/// Shared lifecycle of the wall-clock backends: the node threads do the
+/// work while the caller sleeps through RunFor.
+template <typename Runtime>
+class WallClockBackend {
+ public:
+  void Start() { runtime_.Start(); }
+  void RunFor(util::DurationMicros duration) {
+    std::this_thread::sleep_for(std::chrono::microseconds(duration));
+  }
+  /// Stops every event loop and joins (idempotent).
+  void Stop() { runtime_.Stop(); }
+  Runtime& runtime() { return runtime_; }
+
+ protected:
+  template <typename... Args>
+  explicit WallClockBackend(Args&&... args)
+      : runtime_(std::forward<Args>(args)...) {}
+
+  Runtime runtime_;
+};
+
+/// runtime::ThreadedRuntime: loopback queues between per-node threads,
+/// with `workers_per_node` OrderedRunner prologue workers.
+class ThreadedBackend : public WallClockBackend<runtime::ThreadedRuntime> {
+ public:
+  static constexpr const char* kName = "threaded";
+
+  explicit ThreadedBackend(const WorkloadOptions& workload)
+      : WallClockBackend(workload.seed, workload.workers_per_node) {}
+
+  runtime::NodeId Add(runtime::Node* node, std::string* /*error*/) {
+    return runtime_.AddNode(node);
+  }
+};
+
+/// The loopback address socket nodes bind to (port 0 = kernel-assigned).
+inline net::SockAddr LoopbackAny() {
+  net::SockAddr addr;
+  addr.ip = 0x7f000001;  // 127.0.0.1
+  addr.port = 0;
+  return addr;
+}
+
+/// runtime::SocketRuntime inside one process: every node binds its own
+/// loopback UDP socket — the in-process twin of the multi-process
+/// deployment prestige_node / prestige_cluster build.
+class SocketBackend : public WallClockBackend<runtime::SocketRuntime> {
+ public:
+  static constexpr const char* kName = "socket";
+
+  explicit SocketBackend(const WorkloadOptions& workload)
+      : WallClockBackend(workload.seed) {}
+
+  /// Ids follow registration order, as on the other backends. A failed
+  /// bind is reported through `error` (first failure wins).
+  runtime::NodeId Add(runtime::Node* node, std::string* error) {
+    const runtime::NodeId id = next_id_++;
+    std::string bind_error;
+    if (!runtime_.AddNode(node, id, LoopbackAny(), &bind_error) &&
+        error->empty()) {
+      *error = "socket node " + std::to_string(id) + ": " + bind_error;
+    }
+    return id;
+  }
+
+ private:
+  runtime::NodeId next_id_ = 0;
+};
+
+// ------------------------------------------------------------ deployment
+
+/// A complete deployment of one protocol on one backend.
+template <typename Replica, typename Config, typename Backend = SimBackend>
 class Cluster {
  public:
   Cluster(Config protocol, WorkloadOptions workload,
           std::vector<types::FaultSpec> faults = {})
       : protocol_(protocol),
         workload_(workload),
-        sim_(workload.seed),
-        net_(&sim_, workload.latency, workload.cost),
-        keys_(workload.seed ^ 0xc0ffee) {
+        keys_(workload.seed ^ 0xc0ffee),
+        backend_(workload) {
     if (workload_.num_groups == 0) workload_.num_groups = 1;
     const uint32_t groups = workload_.num_groups;
     // Faults address replicas by global (group-major) index; the usual
@@ -98,27 +239,23 @@ class Cluster {
     // group this is exactly the historical wiring — replicas 0..n-1, then
     // pools 0..num_pools-1 — so unsharded runs stay bit-for-bit
     // reproducible across the sharding refactor.
-    std::vector<std::vector<sim::ActorId>> group_replica_ids(groups);
-    std::vector<std::vector<sim::ActorId>> group_pool_ids(groups);
+    std::vector<std::vector<runtime::NodeId>> group_replica_ids(groups);
+    std::vector<std::vector<runtime::NodeId>> group_pool_ids(groups);
     for (uint32_t g = 0; g < groups; ++g) {
       for (uint32_t i = 0; i < protocol_.n; ++i) {
         replicas_.push_back(std::make_unique<Replica>(
             protocol_, i, &keys_,
             faults[static_cast<size_t>(g) * protocol_.n + i]));
-        envs_.push_back(
-            std::make_unique<runtime::SimEnv>(replicas_.back().get()));
-        const sim::ActorId id = sim_.AddActor(envs_.back().get());
-        envs_.back()->AttachNetwork(&net_);
+        const runtime::NodeId id =
+            backend_.Add(replicas_.back().get(), &setup_error_);
         group_replica_ids[g].push_back(id);
-        replica_actor_ids_.push_back(id);
+        replica_ids_.push_back(id);
       }
     }
     for (uint32_t g = 0; g < groups; ++g) {
       for (uint32_t p = 0; p < workload_.num_pools; ++p) {
         client::Client* client = MakePool(g, p);
-        envs_.push_back(std::make_unique<runtime::SimEnv>(client));
-        group_pool_ids[g].push_back(sim_.AddActor(envs_.back().get()));
-        envs_.back()->AttachNetwork(&net_);
+        group_pool_ids[g].push_back(backend_.Add(client, &setup_error_));
         client->SetReplicas(group_replica_ids[g]);
       }
     }
@@ -131,37 +268,38 @@ class Cluster {
             group_replica_ids[g], group_pool_ids[g]);
       }
     }
-    // All actors are registered; size the network's per-actor resource
-    // tables once instead of growing them lazily inside Send/Deliver.
-    net_.PresizeActors(sim_.num_actors());
   }
 
-  /// Schedules every actor's OnStart at the current virtual time. Call once
-  /// before the first Run*.
+  /// Why the deployment could not be built (a socket bind failure); empty
+  /// when it is whole. Start() refuses to run a broken deployment.
+  const std::string& setup_error() const { return setup_error_; }
+
+  /// Starts every node (each OnStart runs before its first message). Call
+  /// once, before the first Run*.
   void Start() {
-    for (auto& replica : replicas_) {
-      sim_.ScheduleAfter(0, [r = replica.get()]() { r->OnStart(); });
+    if (!setup_error_.empty()) {
+      std::fprintf(stderr, "harness::Cluster: %s backend setup failed: %s\n",
+                   Backend::kName, setup_error_.c_str());
+      std::abort();
     }
-    for (auto& pool : pools_) {
-      sim_.ScheduleAfter(0, [p = pool.get()]() { p->OnStart(); });
-    }
-    for (auto& pool : open_pools_) {
-      sim_.ScheduleAfter(0, [p = pool.get()]() { p->OnStart(); });
-    }
+    backend_.Start();
   }
 
-  void RunFor(util::DurationMicros duration) {
-    sim_.RunUntil(sim_.Now() + duration);
-  }
-  void RunUntil(util::TimeMicros until) { sim_.RunUntil(until); }
+  /// Runs for `duration`: virtual time on the simulator, wall-clock time
+  /// on the other backends.
+  void RunFor(util::DurationMicros duration) { backend_.RunFor(duration); }
+
+  /// Stops and joins the wall-clock event loops (no-op in simulation).
+  /// Call before inspecting state.
+  void Stop() { backend_.Stop(); }
 
   Replica& replica(uint32_t i) { return *replicas_[i]; }
   const Replica& replica(uint32_t i) const { return *replicas_[i]; }
   workload::ClientPool& pool(uint32_t p) { return *pools_[p]; }
   workload::OpenLoopPool& open_pool(uint32_t p) { return *open_pools_[p]; }
-  /// Actor id of replica i (for fault-plane partitions / link faults).
-  sim::ActorId replica_actor_id(uint32_t i) const {
-    return replica_actor_ids_[i];
+  /// Node id of replica i (for fault-plane partitions / link faults).
+  runtime::NodeId replica_actor_id(uint32_t i) const {
+    return replica_ids_[i];
   }
   /// Total replicas across groups (group-major: group g owns global
   /// indices [g*n, (g+1)*n)). Equal to protocol n when unsharded.
@@ -178,14 +316,21 @@ class Cluster {
   Replica& group_replica(uint32_t g, uint32_t i) {
     return *replicas_[static_cast<size_t>(g) * protocol_.n + i];
   }
-  sim::Simulator& simulator() { return sim_; }
-  sim::Network& network() { return net_; }
   const Config& protocol_config() const { return protocol_; }
+  Backend& backend() { return backend_; }
 
+  // Backend-specific handles; each exists only on the backends that have
+  // the underlying object.
+  sim::Simulator& simulator() { return backend_.simulator(); }
+  sim::Network& network() { return backend_.network(); }
+  auto& runtime() { return backend_.runtime(); }
+  void RunUntil(util::TimeMicros until) {
+    backend_.simulator().RunUntil(until);
+  }
   /// Crash / recover replica i at the network level (it neither sends nor
-  /// receives while down).
+  /// receives while down). Simulator only.
   void SetReplicaDown(uint32_t i, bool down) {
-    net_.SetNodeDown(replica_actor_ids_[i], down);
+    backend_.network().SetNodeDown(replica_ids_[i], down);
   }
 
   /// Installs an application service on every replica (each gets its own
@@ -201,18 +346,18 @@ class Cluster {
   /// alive for the cluster's lifetime.
   void SetAdversary(const types::AdversaryPolicy* adversary) {
     for (auto& replica : replicas_) replica->SetAdversary(adversary);
-    for (auto& pool : pools_) pool->SetAdversary(adversary);
-    for (auto& pool : open_pools_) pool->SetAdversary(adversary);
+    for (client::Client* client : clients_) client->SetAdversary(adversary);
   }
 
-  // ---------------------------------------------- client/execution metrics
+  // ----------------------------------------------- client/execution metrics
+  // On the wall-clock backends pool and replica counters belong to their
+  // event-loop threads: read them only after Stop().
 
   /// Reply entries matched to outstanding requests, summed over pools.
   int64_t RepliesReceived() const {
     int64_t total = 0;
-    for (const auto& pool : pools_) total += pool->stats().replies_received;
-    for (const auto& pool : open_pools_) {
-      total += pool->stats().replies_received;
+    for (const client::Client* c : clients_) {
+      total += c->stats().replies_received;
     }
     return total;
   }
@@ -221,9 +366,8 @@ class Cluster {
   /// honest replicas).
   int64_t ResultMismatches() const {
     int64_t total = 0;
-    for (const auto& pool : pools_) total += pool->stats().result_mismatches;
-    for (const auto& pool : open_pools_) {
-      total += pool->stats().result_mismatches;
+    for (const client::Client* c : clients_) {
+      total += c->stats().result_mismatches;
     }
     return total;
   }
@@ -249,8 +393,7 @@ class Cluster {
   /// Transactions committed, summed over all client pools (client-observed).
   int64_t ClientCommitted() const {
     int64_t total = 0;
-    for (const auto& pool : pools_) total += pool->committed();
-    for (const auto& pool : open_pools_) total += pool->committed();
+    for (const client::Client* c : clients_) total += c->stats().completed;
     return total;
   }
 
@@ -258,9 +401,9 @@ class Cluster {
   int64_t GroupCommitted(uint32_t g) const {
     int64_t total = 0;
     const uint32_t per = workload_.num_pools;
-    for (uint32_t p = g * per; p < (g + 1) * per; ++p) {
-      if (p < pools_.size()) total += pools_[p]->committed();
-      if (p < open_pools_.size()) total += open_pools_[p]->committed();
+    for (uint32_t p = g * per; p < (g + 1) * per && p < clients_.size();
+         ++p) {
+      total += clients_[p]->stats().completed;
     }
     return total;
   }
@@ -290,15 +433,10 @@ class Cluster {
   double MeanLatencyMs() {
     double weighted = 0.0;
     size_t count = 0;
-    for (auto& pool : pools_) {
-      weighted += pool->latencies().Mean() *
-                  static_cast<double>(pool->latencies().count());
-      count += pool->latencies().count();
-    }
-    for (auto& pool : open_pools_) {
-      weighted += pool->latencies().Mean() *
-                  static_cast<double>(pool->latencies().count());
-      count += pool->latencies().count();
+    for (client::Client* c : clients_) {
+      weighted += c->latencies().Mean() *
+                  static_cast<double>(c->latencies().count());
+      count += c->latencies().count();
     }
     return count == 0 ? 0.0 : weighted / static_cast<double>(count);
   }
@@ -310,8 +448,7 @@ class Cluster {
   /// merged percentile is exact either way.)
   double LatencyPercentileMs(double p) {
     util::Histogram merged;
-    for (auto& pool : pools_) merged.MergeFrom(pool->latencies());
-    for (auto& pool : open_pools_) merged.MergeFrom(pool->latencies());
+    for (client::Client* c : clients_) merged.MergeFrom(c->latencies());
     return merged.Percentile(p);
   }
 
@@ -389,34 +526,39 @@ class Cluster {
       pc.num_groups = groups;
       pc.router_salt = workload_.router_salt;
       open_pools_.push_back(std::make_unique<workload::OpenLoopPool>(pc));
-      return open_pools_.back().get();
+      clients_.push_back(open_pools_.back().get());
+    } else {
+      workload::ClientPoolConfig pool_config;
+      pool_config.pool_id = pool_id;
+      pool_config.num_clients = workload_.clients_per_pool;
+      pool_config.payload_size = workload_.payload_size;
+      pool_config.f = protocol_.f();
+      pool_config.request_timeout = workload_.client_timeout;
+      pool_config.command_kind = kind;
+      pool_config.kv_key_space = workload_.kv_key_space;
+      pool_config.group = g;
+      pool_config.num_groups = groups;
+      pool_config.router_salt = workload_.router_salt;
+      pools_.push_back(std::make_unique<workload::ClientPool>(pool_config));
+      clients_.push_back(pools_.back().get());
     }
-    workload::ClientPoolConfig pool_config;
-    pool_config.pool_id = pool_id;
-    pool_config.num_clients = workload_.clients_per_pool;
-    pool_config.payload_size = workload_.payload_size;
-    pool_config.f = protocol_.f();
-    pool_config.request_timeout = workload_.client_timeout;
-    pool_config.command_kind = kind;
-    pool_config.kv_key_space = workload_.kv_key_space;
-    pool_config.group = g;
-    pool_config.num_groups = groups;
-    pool_config.router_salt = workload_.router_salt;
-    pools_.push_back(std::make_unique<workload::ClientPool>(pool_config));
-    return pools_.back().get();
+    return clients_.back();
   }
 
   Config protocol_;
   WorkloadOptions workload_;
-  sim::Simulator sim_;
-  sim::Network net_;
   crypto::KeyStore keys_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<std::unique_ptr<workload::ClientPool>> pools_;
   std::vector<std::unique_ptr<workload::OpenLoopPool>> open_pools_;
-  /// One SimEnv per node, in registration order; must outlive the sim.
-  std::vector<std::unique_ptr<runtime::SimEnv>> envs_;
-  std::vector<sim::ActorId> replica_actor_ids_;
+  /// Every pool in registration order (group-major), whichever kind.
+  std::vector<client::Client*> clients_;
+  std::vector<runtime::NodeId> replica_ids_;
+  std::string setup_error_;
+  /// Declared last so it is destroyed first: a wall-clock backend's
+  /// runtime stops and joins its event loops before any node it drives is
+  /// destroyed, even when a running cluster leaves scope early.
+  Backend backend_;
 };
 
 }  // namespace harness

@@ -104,7 +104,7 @@ const ScenarioSpec* FindScenario(const std::string& name);
 
 /// True when `spec` uses no simulator-only machinery — partitions, link
 /// faults, crashes, partial load, or a Byzantine cast — and can therefore
-/// run unchanged on the threaded real-time backend (threaded_runner.h).
+/// run unchanged on the wall-clock backends (runner.h).
 bool ThreadedCapable(const ScenarioSpec& spec);
 
 }  // namespace harness

@@ -12,13 +12,18 @@
 //   * RNG           — rng(), a per-node deterministic stream forked from
 //                     the run seed.
 //
-// Two backends implement Env:
+// Three backends implement Env:
 //   * runtime::SimEnv (sim_env.h) hosts nodes on the deterministic
 //     discrete-event simulator — virtual time, modelled network costs,
 //     bit-for-bit reproducible runs;
 //   * runtime::ThreadedRuntime (threaded_env.h) hosts each node on its own
 //     OS thread — wall-clock time, in-process loopback transport with real
-//     queues, true concurrency.
+//     queues, true concurrency;
+//   * runtime::SocketRuntime (socket_env.h) hosts each node on its own OS
+//     thread with its own UDP socket — wall-clock time, every message
+//     framed and carried by the kernel, in one process or many.
+// The two wall-clock backends share their clock, timer service, and Env
+// base (wall_clock_env.h).
 //
 // The contract every backend upholds (and protocol code relies on):
 //   * callbacks of one node never run concurrently with each other — a

@@ -44,8 +44,7 @@ SocketRuntime::NodeState::~NodeState() {
   if (wake_write >= 0) ::close(wake_write);
 }
 
-SocketRuntime::SocketRuntime(uint64_t seed)
-    : seed_(seed), epoch_(std::chrono::steady_clock::now()) {}
+SocketRuntime::SocketRuntime(uint64_t seed) : seed_(seed) {}
 
 SocketRuntime::~SocketRuntime() { Stop(); }
 
@@ -96,7 +95,7 @@ void SocketRuntime::Start() {
   assert(!started_);
   started_ = true;
   stopped_ = false;
-  epoch_ = std::chrono::steady_clock::now();
+  clock_.Reset();
   for (auto& state : nodes_) {
     NodeState* s = state.get();
     s->thread = std::thread([this, s]() { RunLoop(s); });
@@ -113,12 +112,6 @@ void SocketRuntime::Stop() {
   for (auto& state : nodes_) {
     if (state->thread.joinable()) state->thread.join();
   }
-}
-
-util::TimeMicros SocketRuntime::Now() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
 }
 
 net::FrameCounters SocketRuntime::node_net_stats(NodeId id) const {
@@ -186,19 +179,6 @@ void SocketRuntime::SendFrom(NodeState* from, NodeId to,
   }
 }
 
-util::TimeMicros SocketRuntime::FireDueTimers(NodeState* s) {
-  for (;;) {
-    auto it = s->timer_queue.begin();
-    if (it == s->timer_queue.end()) return -1;
-    if (it->first > Now()) return it->first;
-    const auto [timer_id, tag] = it->second;
-    s->timer_queue.erase(it);
-    if (s->live_timers.erase(timer_id) > 0) {
-      s->node->OnTimer(tag);
-    }
-  }
-}
-
 void SocketRuntime::RunLoop(NodeState* s) {
   s->node->OnStart();
   std::vector<uint8_t> buf(kRecvBufBytes);
@@ -207,7 +187,7 @@ void SocketRuntime::RunLoop(NodeState* s) {
   uint8_t drain[64];
   while (!s->stop.load(std::memory_order_relaxed)) {
     // Fire whatever is due, then learn how long poll may sleep.
-    const util::TimeMicros next_deadline = FireDueTimers(s);
+    const util::TimeMicros next_deadline = s->env->FireDueTimers(s->node);
     int timeout_ms = kIdlePollMs;
     if (next_deadline >= 0) {
       const util::TimeMicros now = Now();
@@ -269,28 +249,6 @@ void SocketRuntime::NodeEnv::Send(const std::vector<NodeId>& targets,
   for (NodeId to : targets) {
     runtime_->SendFrom(state_, to, msg);
   }
-}
-
-TimerId SocketRuntime::NodeEnv::SetTimer(util::DurationMicros delay,
-                                         uint64_t tag) {
-  const TimerId timer = state_->next_timer_id++;
-  state_->live_timers.insert(timer);
-  const util::TimeMicros deadline =
-      runtime_->Now() + (delay < 0 ? 0 : delay);
-  state_->timer_queue.emplace(deadline, std::make_pair(timer, tag));
-  return timer;
-}
-
-void SocketRuntime::NodeEnv::CancelTimer(TimerId timer) {
-  state_->live_timers.erase(timer);
-}
-
-void SocketRuntime::NodeEnv::CancelAllTimers() {
-  state_->live_timers.clear();
-}
-
-util::TimeMicros SocketRuntime::NodeEnv::Now() const {
-  return runtime_->Now();
 }
 
 }  // namespace runtime

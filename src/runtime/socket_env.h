@@ -45,7 +45,6 @@
 #define PRESTIGE_RUNTIME_SOCKET_ENV_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -54,13 +53,13 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/address.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "runtime/env.h"
+#include "runtime/wall_clock_env.h"
 
 namespace prestige {
 namespace runtime {
@@ -104,7 +103,7 @@ class SocketRuntime {
   size_t num_nodes() const { return nodes_.size(); }
 
   /// Microseconds of wall-clock time since Start().
-  util::TimeMicros Now() const;
+  util::TimeMicros Now() const { return clock_.Now(); }
 
   /// Messages handed to OnMessage across all local nodes so far.
   uint64_t messages_delivered() const {
@@ -121,27 +120,22 @@ class SocketRuntime {
  private:
   struct NodeState;
 
-  /// Env implementation handed to each node.
-  class NodeEnv final : public Env {
+  /// Env implementation handed to each node: the shared clock/timer/RNG
+  /// base plus the UDP transport.
+  class NodeEnv final : public WallClockEnv {
    public:
     NodeEnv(SocketRuntime* runtime, NodeState* state, NodeId id,
             util::Rng rng)
-        : runtime_(runtime), state_(state), id_(id), rng_(rng) {}
+        : WallClockEnv(&runtime->clock_, id, rng),
+          runtime_(runtime),
+          state_(state) {}
 
-    NodeId id() const override { return id_; }
     void Send(NodeId to, MessagePtr msg) override;
     void Send(const std::vector<NodeId>& targets, MessagePtr msg) override;
-    TimerId SetTimer(util::DurationMicros delay, uint64_t tag) override;
-    void CancelTimer(TimerId timer) override;
-    void CancelAllTimers() override;
-    util::TimeMicros Now() const override;
-    util::Rng* rng() override { return &rng_; }
 
    private:
     SocketRuntime* runtime_;
     NodeState* state_;
-    NodeId id_;
-    util::Rng rng_;
   };
 
   struct Inbound {
@@ -150,9 +144,9 @@ class SocketRuntime {
   };
 
   /// Everything one local node's loop owns. The local mailbox is guarded
-  /// by `mu`; socket, frame writer, counters, and timer state are touched
-  /// only by the loop thread (Env calls are only legal from the owning
-  /// node's callbacks).
+  /// by `mu`; socket, frame writer, counters, and the env's timers are
+  /// touched only by the loop thread (Env calls are only legal from the
+  /// owning node's callbacks).
   struct NodeState {
     ~NodeState();
 
@@ -176,11 +170,6 @@ class SocketRuntime {
     std::deque<Inbound> mailbox;
     std::atomic<bool> stop{false};
 
-    // Timer service (loop-thread only).
-    TimerId next_timer_id = 1;
-    std::unordered_set<TimerId> live_timers;
-    std::multimap<util::TimeMicros, std::pair<TimerId, uint64_t>> timer_queue;
-
     std::thread thread;
   };
 
@@ -189,15 +178,12 @@ class SocketRuntime {
   void SendFrom(NodeState* from, NodeId to, const MessagePtr& msg);
   void Wake(NodeState* state);
   void RunLoop(NodeState* state);
-  /// Fires every due timer of `state`; returns the next pending deadline
-  /// or -1 when no timer is armed.
-  util::TimeMicros FireDueTimers(NodeState* state);
   NodeState* FindLocal(NodeId id) const;
 
   uint64_t seed_;
   bool started_ = false;
   bool stopped_ = false;
-  std::chrono::steady_clock::time_point epoch_;
+  WallClock clock_;
   std::atomic<uint64_t> delivered_{0};
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::unordered_map<NodeId, NodeState*> local_by_id_;

@@ -8,8 +8,7 @@ namespace runtime {
 ThreadedRuntime::ThreadedRuntime(uint64_t seed, uint32_t workers_per_node)
     : seed_(seed),
       workers_per_node_(workers_per_node),
-      root_rng_(seed),
-      epoch_(std::chrono::steady_clock::now()) {}
+      root_rng_(seed) {}
 
 ThreadedRuntime::~ThreadedRuntime() { Stop(); }
 
@@ -20,8 +19,7 @@ NodeId ThreadedRuntime::AddNode(Node* node) {
   state->node = node;
   // Same forking discipline as Simulator::AddActor: one child stream per
   // node, drawn from the root in registration order.
-  state->env = std::make_unique<NodeEnv>(this, state.get(), id,
-                                         root_rng_.Fork());
+  state->env = std::make_unique<NodeEnv>(this, id, root_rng_.Fork());
   node->BindEnv(state->env.get());
   nodes_.push_back(std::move(state));
   return id;
@@ -31,7 +29,7 @@ void ThreadedRuntime::Start() {
   assert(!started_);
   started_ = true;
   stopped_ = false;
-  epoch_ = std::chrono::steady_clock::now();
+  clock_.Reset();
   for (auto& state : nodes_) {
     NodeState* s = state.get();
     if (workers_per_node_ > 0) {
@@ -62,12 +60,6 @@ void ThreadedRuntime::Stop() {
   }
 }
 
-util::TimeMicros ThreadedRuntime::Now() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
 void ThreadedRuntime::Post(NodeId to, NodeId from, const MessagePtr& msg) {
   if (to >= nodes_.size()) return;
   NodeState* target = nodes_[to].get();
@@ -79,26 +71,13 @@ void ThreadedRuntime::Post(NodeId to, NodeId from, const MessagePtr& msg) {
   target->cv.notify_one();
 }
 
-util::TimeMicros ThreadedRuntime::FireDueTimers(NodeState* s) {
-  for (;;) {
-    auto it = s->timer_queue.begin();
-    if (it == s->timer_queue.end()) return -1;
-    if (it->first > Now()) return it->first;
-    const auto [timer_id, tag] = it->second;
-    s->timer_queue.erase(it);
-    if (s->live_timers.erase(timer_id) > 0) {
-      s->node->OnTimer(tag);
-    }
-  }
-}
-
 void ThreadedRuntime::RunLoop(NodeState* s) {
   s->node->OnStart();
   OrderedRunner* runner = s->runner.get();
   std::deque<Inbound> batch;
   for (;;) {
     // Fire whatever is due, then learn how long we may sleep.
-    const util::TimeMicros next_deadline = FireDueTimers(s);
+    const util::TimeMicros next_deadline = s->env->FireDueTimers(s->node);
     {
       std::unique_lock<std::mutex> lock(s->mu);
       for (;;) {
@@ -118,8 +97,7 @@ void ThreadedRuntime::RunLoop(NodeState* s) {
         if (runner != nullptr && runner->HasReady()) break;
         if (next_deadline >= 0) {
           if (Now() >= next_deadline) break;  // Due: fire on next pass.
-          s->cv.wait_until(
-              lock, epoch_ + std::chrono::microseconds(next_deadline));
+          s->cv.wait_until(lock, clock_.At(next_deadline));
           break;  // Re-evaluate timers before sleeping again.
         }
         s->cv.wait(lock);
@@ -159,36 +137,14 @@ void ThreadedRuntime::RunLoop(NodeState* s) {
 // ------------------------------------------------------------------ NodeEnv
 
 void ThreadedRuntime::NodeEnv::Send(NodeId to, MessagePtr msg) {
-  runtime_->Post(to, id_, msg);
+  runtime_->Post(to, id(), msg);
 }
 
 void ThreadedRuntime::NodeEnv::Send(const std::vector<NodeId>& targets,
                                     MessagePtr msg) {
   for (NodeId to : targets) {
-    runtime_->Post(to, id_, msg);
+    runtime_->Post(to, id(), msg);
   }
-}
-
-TimerId ThreadedRuntime::NodeEnv::SetTimer(util::DurationMicros delay,
-                                           uint64_t tag) {
-  const TimerId timer = state_->next_timer_id++;
-  state_->live_timers.insert(timer);
-  const util::TimeMicros deadline =
-      runtime_->Now() + (delay < 0 ? 0 : delay);
-  state_->timer_queue.emplace(deadline, std::make_pair(timer, tag));
-  return timer;
-}
-
-void ThreadedRuntime::NodeEnv::CancelTimer(TimerId timer) {
-  state_->live_timers.erase(timer);
-}
-
-void ThreadedRuntime::NodeEnv::CancelAllTimers() {
-  state_->live_timers.clear();
-}
-
-util::TimeMicros ThreadedRuntime::NodeEnv::Now() const {
-  return runtime_->Now();
 }
 
 }  // namespace runtime

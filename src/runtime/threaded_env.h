@@ -39,19 +39,17 @@
 #define PRESTIGE_RUNTIME_THREADED_ENV_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/env.h"
 #include "runtime/ordered_runner.h"
+#include "runtime/wall_clock_env.h"
 
 namespace prestige {
 namespace runtime {
@@ -87,7 +85,7 @@ class ThreadedRuntime {
   uint32_t workers_per_node() const { return workers_per_node_; }
 
   /// Microseconds of wall-clock time since Start().
-  util::TimeMicros Now() const;
+  util::TimeMicros Now() const { return clock_.Now(); }
 
   /// Total messages taken off all mailboxes so far. Exact at any moment
   /// (single atomic counter), monotone while running.
@@ -98,27 +96,18 @@ class ThreadedRuntime {
  private:
   struct NodeState;
 
-  /// Env implementation handed to each node.
-  class NodeEnv final : public Env {
+  /// Env implementation handed to each node: the shared clock/timer/RNG
+  /// base plus the loopback transport.
+  class NodeEnv final : public WallClockEnv {
    public:
-    NodeEnv(ThreadedRuntime* runtime, NodeState* state, NodeId id,
-            util::Rng rng)
-        : runtime_(runtime), state_(state), id_(id), rng_(rng) {}
+    NodeEnv(ThreadedRuntime* runtime, NodeId id, util::Rng rng)
+        : WallClockEnv(&runtime->clock_, id, rng), runtime_(runtime) {}
 
-    NodeId id() const override { return id_; }
     void Send(NodeId to, MessagePtr msg) override;
     void Send(const std::vector<NodeId>& targets, MessagePtr msg) override;
-    TimerId SetTimer(util::DurationMicros delay, uint64_t tag) override;
-    void CancelTimer(TimerId timer) override;
-    void CancelAllTimers() override;
-    util::TimeMicros Now() const override;
-    util::Rng* rng() override { return &rng_; }
 
    private:
     ThreadedRuntime* runtime_;
-    NodeState* state_;
-    NodeId id_;
-    util::Rng rng_;
   };
 
   struct Inbound {
@@ -127,7 +116,7 @@ class ThreadedRuntime {
   };
 
   /// Everything one node's loop owns. Mailbox fields are guarded by `mu`;
-  /// timer fields are touched only by the loop thread.
+  /// the env's timer service is touched only by the loop thread.
   struct NodeState {
     Node* node = nullptr;
     std::unique_ptr<NodeEnv> env;
@@ -142,28 +131,18 @@ class ThreadedRuntime {
     /// Start(), drained and joined by the loop thread on shutdown.
     std::unique_ptr<OrderedRunner> runner;
 
-    // Timer service (loop-thread only).
-    TimerId next_timer_id = 1;
-    std::unordered_set<TimerId> live_timers;
-    /// deadline (runtime micros) -> (timer id, tag); multimap keeps equal
-    /// deadlines in arming order.
-    std::multimap<util::TimeMicros, std::pair<TimerId, uint64_t>> timer_queue;
-
     std::thread thread;
   };
 
   void Post(NodeId to, NodeId from, const MessagePtr& msg);
   void RunLoop(NodeState* state);
-  /// Fires every due timer of `state`; returns the next pending deadline
-  /// or -1 when no timer is armed.
-  util::TimeMicros FireDueTimers(NodeState* state);
 
   uint64_t seed_;
   uint32_t workers_per_node_;
   util::Rng root_rng_;
   bool started_ = false;
   bool stopped_ = false;
-  std::chrono::steady_clock::time_point epoch_;
+  WallClock clock_;
   std::atomic<uint64_t> delivered_{0};
   std::vector<std::unique_ptr<NodeState>> nodes_;
 };

@@ -10,7 +10,7 @@
 #include "core/replica.h"
 #include "harness/cluster.h"
 #include "harness/invariants.h"
-#include "harness/sharded_runner.h"
+#include "harness/runner.h"
 #include "shard/router.h"
 #include "types/transaction.h"
 
@@ -140,7 +140,7 @@ WorkloadOptions ShardedWorkload(uint32_t groups, uint64_t seed = 1) {
 }
 
 TEST(ShardedClusterTest, EveryGroupCommitsAndSafetySweepPasses) {
-  const auto result = harness::RunShardedSim<PrestigeReplica, PrestigeConfig>(
+  const auto result = harness::RunDeployment<PrestigeReplica, PrestigeConfig>(
       SmallConfig(), ShardedWorkload(/*groups=*/2), Seconds(2),
       [] { return std::make_unique<app::KvService>(4096); });
 
@@ -161,9 +161,9 @@ TEST(ShardedClusterTest, EveryGroupCommitsAndSafetySweepPasses) {
 }
 
 TEST(ShardedClusterTest, ShardedSimRunIsDeterministicPerSeed) {
-  const auto a = harness::RunShardedSim<PrestigeReplica, PrestigeConfig>(
+  const auto a = harness::RunDeployment<PrestigeReplica, PrestigeConfig>(
       SmallConfig(), ShardedWorkload(2, /*seed=*/9), Seconds(1));
-  const auto b = harness::RunShardedSim<PrestigeReplica, PrestigeConfig>(
+  const auto b = harness::RunDeployment<PrestigeReplica, PrestigeConfig>(
       SmallConfig(), ShardedWorkload(2, /*seed=*/9), Seconds(1));
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_EQ(a.arrivals, b.arrivals);

@@ -6,9 +6,11 @@
 // safety sweep.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,11 +18,10 @@
 
 #include "core/messages.h"
 #include "core/replica.h"
+#include "harness/cluster.h"
+#include "harness/runner.h"
 #include "harness/scenario.h"
 #include "harness/scenario_runner.h"
-#include "harness/socket_cluster.h"
-#include "harness/socket_runner.h"
-#include "harness/threaded_runner.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -293,20 +294,19 @@ TEST(CrossBackendTest, SameScenarioCommitsAndStaysSafeOnAllThreeBackends) {
   EXPECT_TRUE(sim.safety_ok) << sim.violation;
   EXPECT_GE(sim.committed, kCommittedFloor);
 
-  const harness::ThreadedRunResult threaded =
-      harness::RunThreadedScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(
-          spec, EquivalenceConfig(), EquivalenceWorkload());
+  const harness::RunResult threaded = harness::RunWallClockScenario<
+      core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
+      spec, EquivalenceConfig(), EquivalenceWorkload());
   ASSERT_TRUE(threaded.ran) << threaded.error;
   EXPECT_TRUE(threaded.safety_ok) << threaded.violation;
   EXPECT_GE(threaded.committed, kCommittedFloor);
 
-  const harness::SocketRunResult socket =
-      harness::RunSocketScenario<core::PrestigeReplica, core::PrestigeConfig>(
-          spec, EquivalenceConfig(), EquivalenceWorkload());
-  ASSERT_TRUE(socket.base.ran) << socket.base.error;
-  EXPECT_TRUE(socket.base.safety_ok) << socket.base.violation;
-  EXPECT_GE(socket.base.committed, kCommittedFloor);
+  const harness::RunResult socket = harness::RunWallClockScenario<
+      core::PrestigeReplica, core::PrestigeConfig, harness::SocketBackend>(
+      spec, EquivalenceConfig(), EquivalenceWorkload());
+  ASSERT_TRUE(socket.ran) << socket.error;
+  EXPECT_TRUE(socket.safety_ok) << socket.violation;
+  EXPECT_GE(socket.committed, kCommittedFloor);
   // The socket run really crossed the kernel: frames flowed and the
   // hardened receive path assembled them.
   EXPECT_GT(socket.net.frames_sent, 0u);
@@ -315,11 +315,52 @@ TEST(CrossBackendTest, SameScenarioCommitsAndStaysSafeOnAllThreeBackends) {
   // The spec with a simulator-only fault must be refused, not misrun.
   harness::ScenarioSpec faulty = spec;
   faulty.phases[0].crash = {0};
-  const harness::SocketRunResult refused =
-      harness::RunSocketScenario<core::PrestigeReplica, core::PrestigeConfig>(
-          faulty, EquivalenceConfig(), EquivalenceWorkload());
-  EXPECT_FALSE(refused.base.ran);
-  EXPECT_FALSE(refused.base.error.empty());
+  const harness::RunResult refused = harness::RunWallClockScenario<
+      core::PrestigeReplica, core::PrestigeConfig, harness::SocketBackend>(
+      faulty, EquivalenceConfig(), EquivalenceWorkload());
+  EXPECT_FALSE(refused.ran);
+  EXPECT_FALSE(refused.error.empty());
+}
+
+/// Lowers this process's open-file limit below any free descriptor, so
+/// every later socket() fails, and returns the limit it replaced. Only
+/// ever called inside a death-test child.
+rlimit ExhaustDescriptors() {
+  rlimit saved;
+  getrlimit(RLIMIT_NOFILE, &saved);
+  rlimit low = saved;
+  low.rlim_cur = 3;
+  setrlimit(RLIMIT_NOFILE, &low);
+  return saved;
+}
+
+/// Exit status 0 when the run-and-harvest refuses a deployment whose
+/// sockets cannot bind and reports the bind error.
+[[noreturn]] void RunWithoutDescriptors() {
+  const rlimit saved = ExhaustDescriptors();
+  const harness::RunResult result =
+      harness::RunDeployment<core::PrestigeReplica, core::PrestigeConfig,
+                             harness::SocketBackend>(
+          EquivalenceConfig(), EquivalenceWorkload(), util::Millis(50));
+  const bool refused =
+      !result.ran && result.error.find("socket node") != std::string::npos;
+  // Exit hooks (LeakSanitizer's check) need descriptors again.
+  setrlimit(RLIMIT_NOFILE, &saved);
+  std::exit(refused ? 0 : 1);
+}
+
+/// Starts a deployment whose sockets could not bind.
+void StartWithoutDescriptors() {
+  ExhaustDescriptors();
+  harness::Cluster<core::PrestigeReplica, core::PrestigeConfig,
+                   harness::SocketBackend>
+      cluster(EquivalenceConfig(), EquivalenceWorkload());
+  cluster.Start();
+}
+
+TEST(SocketBackendTest, FailedBindRefusesToRunWithANodeMissing) {
+  EXPECT_EXIT(RunWithoutDescriptors(), ::testing::ExitedWithCode(0), "");
+  EXPECT_DEATH(StartWithoutDescriptors(), "socket backend setup failed");
 }
 
 }  // namespace

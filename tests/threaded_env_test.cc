@@ -15,8 +15,8 @@
 #include "baselines/hotstuff/hotstuff_replica.h"
 #include "core/replica.h"
 #include "harness/invariants.h"
-#include "harness/threaded_cluster.h"
-#include "harness/threaded_runner.h"
+#include "harness/cluster.h"
+#include "harness/runner.h"
 #include "runtime/threaded_env.h"
 
 namespace prestige {
@@ -175,7 +175,8 @@ core::PrestigeConfig SmokeConfig() {
 }
 
 TEST(ThreadedClusterTest, PrestigeBftCommitsUnderTrueConcurrency) {
-  harness::ThreadedCluster<core::PrestigeReplica, core::PrestigeConfig>
+  harness::Cluster<core::PrestigeReplica, core::PrestigeConfig,
+                   harness::ThreadedBackend>
       cluster(SmokeConfig(), SmokeWorkload());
   cluster.Start();
   cluster.RunFor(Millis(700));
@@ -195,8 +196,9 @@ TEST(ThreadedClusterTest, HotStuffRunsOnTheSameRuntime) {
   config.batch_size = 50;
   config.batch_wait = Millis(2);
   config.view_timeout = util::Seconds(2);
-  harness::ThreadedCluster<baselines::hotstuff::HotStuffReplica,
-                           baselines::hotstuff::HotStuffConfig>
+  harness::Cluster<baselines::hotstuff::HotStuffReplica,
+                   baselines::hotstuff::HotStuffConfig,
+                   harness::ThreadedBackend>
       cluster(config, SmokeWorkload());
   cluster.Start();
   cluster.RunFor(Millis(700));
@@ -215,10 +217,9 @@ TEST(ThreadedRunnerTest, SteadyStateScenarioRunsAndFaultyScenariosRefuse) {
   // Shrink the scripted durations so the smoke stays fast.
   harness::ScenarioSpec quick = *steady;
   for (harness::Phase& p : quick.phases) p.duration = Millis(300);
-  const harness::ThreadedRunResult result =
-      harness::RunThreadedScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(quick, SmokeConfig(),
-                                                         SmokeWorkload());
+  const harness::RunResult result = harness::RunWallClockScenario<
+      core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
+      quick, SmokeConfig(), SmokeWorkload());
   EXPECT_TRUE(result.ran) << result.error;
   EXPECT_TRUE(result.safety_ok) << result.violation;
   EXPECT_GT(result.committed, 0);
@@ -228,12 +229,31 @@ TEST(ThreadedRunnerTest, SteadyStateScenarioRunsAndFaultyScenariosRefuse) {
   const harness::ScenarioSpec* churn = harness::FindScenario("churn");
   ASSERT_NE(churn, nullptr);
   EXPECT_FALSE(harness::ThreadedCapable(*churn));
-  const harness::ThreadedRunResult refused =
-      harness::RunThreadedScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(*churn, SmokeConfig(),
-                                                         SmokeWorkload());
+  const harness::RunResult refused = harness::RunWallClockScenario<
+      core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
+      *churn, SmokeConfig(), SmokeWorkload());
   EXPECT_FALSE(refused.ran);
   EXPECT_FALSE(refused.error.empty());
+}
+
+TEST(ThreadedRunnerTest, OpenLoopRunCountsEveryPoolsReplies) {
+  // Open-loop pools match replies like closed-loop ones: every commit
+  // needs f+1 matching replies, so the harvested reply count must cover
+  // them (a harvest that skipped open-loop pools reported 0 here).
+  harness::WorkloadOptions workload = SmokeWorkload();
+  workload.open_loop = true;
+  workload.arrival.kind = workload::ArrivalKind::kPoisson;
+  workload.arrival.rate_per_sec = 1000.0;  // Per pool.
+  const core::PrestigeConfig config = SmokeConfig();
+  const harness::RunResult result = harness::RunDeployment<
+      core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
+      config, workload, Millis(600));
+  ASSERT_TRUE(result.ran) << result.error;
+  EXPECT_TRUE(result.safety_ok) << result.violation;
+  EXPECT_GT(result.committed, 0);
+  EXPECT_GT(result.arrivals, 0);
+  EXPECT_GE(result.replies, result.committed * (config.f() + 1));
+  EXPECT_EQ(result.result_mismatches, 0);
 }
 
 }  // namespace
