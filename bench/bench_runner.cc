@@ -64,7 +64,8 @@
 // wall-clock numbers plus frame/drop counters. `--list` prints scenarios,
 // protocol configs, and runtime backends. Exit status is 2 on usage
 // errors (unknown scenarios, unknown --runtime values, sim-only scenarios
-// under a real-time backend), 1 when any output failed to write OR any
+// under a real-time backend, threaded-only flags without
+// --runtime=threaded), 1 when any output failed to write OR any
 // scenario — simulated, threaded, or socket — violated a safety invariant
 // — CI keys off this.
 
@@ -866,6 +867,9 @@ bool ParseCounts(const char* flag, const char* p, unsigned long lo,
 /// Parses argv into `o`. Returns -1 to go on running, otherwise the exit
 /// status: 0 after --list, 2 on a usage error.
 int ParseArgs(int argc, char** argv, Options* o) {
+  // Only the threaded comparison reads these; elsewhere they would be
+  // silently ignored.
+  const char* threaded_only = nullptr;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const bool has_value = i + 1 < argc;
@@ -913,20 +917,24 @@ int ParseArgs(int argc, char** argv, Options* o) {
       }
       o->jobs = static_cast<uint32_t>(jobs);
     } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
+      threaded_only = arg;
       if (!ParseCounts("--workers", argv[++i], 0, 256, &o->worker_counts)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--groups") == 0 && has_value) {
+      threaded_only = arg;
       if (!ParseCounts("--groups", argv[++i], 1, 64, &o->group_counts)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--arrival-rate") == 0 && has_value) {
+      threaded_only = arg;
       o->arrival_rate = std::atof(argv[++i]);
       if (o->arrival_rate <= 0.0) {
         std::fprintf(stderr, "bench_runner: --arrival-rate must be > 0\n");
         return 2;
       }
     } else if (std::strcmp(arg, "--slo-ms") == 0 && has_value) {
+      threaded_only = arg;
       o->slo_ms = std::atof(argv[++i]);
       if (o->slo_ms <= 0.0) {
         std::fprintf(stderr, "bench_runner: --slo-ms must be > 0\n");
@@ -938,6 +946,11 @@ int ParseArgs(int argc, char** argv, Options* o) {
     } else {
       o->selected.emplace_back(arg);
     }
+  }
+  if (threaded_only != nullptr && o->runtime != Runtime::kThreaded) {
+    std::fprintf(stderr, "bench_runner: %s needs --runtime=threaded\n",
+                 threaded_only);
+    return 2;
   }
   return -1;
 }

@@ -18,6 +18,8 @@
 //   * SocketBackend — runtime::SocketRuntime: one OS thread and one
 //     loopback UDP socket per node; all traffic crosses the kernel through
 //     the net/ framing and wire codec.
+// The two wall-clock backends are two transports of one event loop
+// (runtime/event_loop.h).
 // Protocols speak only runtime::Env and never see which backend drives
 // them. Node ids follow registration order (replicas group-major, then
 // pools group-major) on every backend; the sim and threaded RNG streams
@@ -167,7 +169,7 @@ class WallClockBackend {
   Runtime runtime_;
 };
 
-/// runtime::ThreadedRuntime: loopback queues between per-node threads,
+/// runtime::ThreadedRuntime: in-process mailboxes between per-node threads,
 /// with `workers_per_node` OrderedRunner prologue workers.
 class ThreadedBackend : public WallClockBackend<runtime::ThreadedRuntime> {
  public:

@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -96,17 +97,6 @@ struct RunResult {
 /// Per-replica application factory (nullptr keeps the default service).
 using ServiceFactory = std::function<std::unique_ptr<app::Service>()>;
 
-// Backend counters: what each backend adds to a harvest.
-inline void HarvestBackend(SimBackend&, RunResult*) {}
-inline void HarvestBackend(ThreadedBackend& backend, RunResult* result) {
-  result->messages_delivered = backend.runtime().messages_delivered();
-  result->workers = backend.runtime().workers_per_node();
-}
-inline void HarvestBackend(SocketBackend& backend, RunResult* result) {
-  result->messages_delivered = backend.runtime().messages_delivered();
-  result->net = backend.runtime().net_stats();
-}
-
 /// Harvests metrics + safety from a finished cluster (wall-clock backends
 /// after Stop()). `duration` is the measurement window.
 template <typename Replica, typename Config, typename Backend>
@@ -137,7 +127,14 @@ RunResult Harvest(Cluster<Replica, Config, Backend>& cluster,
   result.duplicate_suppressed = cluster.DuplicatesSuppressed();
   result.result_mismatches = cluster.ResultMismatches();
   result.executed = cluster.ExecutedTotal();
-  HarvestBackend(cluster.backend(), &result);
+  if constexpr (!std::is_same_v<Backend, SimBackend>) {
+    auto& rt = cluster.runtime();
+    result.messages_delivered = rt.messages_delivered();
+    result.workers = rt.workers_per_node();
+    if constexpr (std::is_same_v<Backend, SocketBackend>) {
+      result.net = rt.net_stats();
+    }
+  }
 
   for (uint32_t g = 0; g < cluster.num_groups(); ++g) {
     GroupRunStats stats;

@@ -123,9 +123,17 @@ bool ParseClusterConfig(const std::string& text, ClusterConfig* out,
       return fail("unknown key '" + key + "'");
     }
   }
-  if (out->peers.empty()) {
-    line_no = 0;
-    return fail("config declares no nodes");
+  line_no = 0;
+  if (out->peers.empty()) return fail("config declares no nodes");
+  // Ids are dense (0..N-1 for N node lines): runtimes index tables by id,
+  // so an id taken from input must never size an allocation.
+  for (const PeerEntry& peer : out->peers) {
+    if (peer.id >= out->peers.size()) {
+      return fail("node id " + std::to_string(peer.id) + " out of range: " +
+                  std::to_string(out->peers.size()) +
+                  " nodes need ids 0.." +
+                  std::to_string(out->peers.size() - 1));
+    }
   }
   return true;
 }

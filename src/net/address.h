@@ -17,8 +17,10 @@
 //   node 4 pool    127.0.0.1:9004 127.0.0.1:9104
 //
 // Node ids are deployment-global and follow the harness convention:
-// replicas 0..n-1, then client pools n..n+pools-1. The fourth column is the
-// node's data (UDP) address, the fifth its control (TCP) address.
+// replicas 0..n-1, then client pools n..n+pools-1. A config with N node
+// lines must use exactly the ids 0..N-1 (anything else is rejected). The
+// fourth column is the node's data (UDP) address, the fifth its control
+// (TCP) address.
 
 #ifndef PRESTIGE_NET_ADDRESS_H_
 #define PRESTIGE_NET_ADDRESS_H_

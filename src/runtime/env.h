@@ -12,18 +12,17 @@
 //   * RNG           — rng(), a per-node deterministic stream forked from
 //                     the run seed.
 //
-// Three backends implement Env:
+// Two Env implementations back three backends:
 //   * runtime::SimEnv (sim_env.h) hosts nodes on the deterministic
 //     discrete-event simulator — virtual time, modelled network costs,
 //     bit-for-bit reproducible runs;
-//   * runtime::ThreadedRuntime (threaded_env.h) hosts each node on its own
-//     OS thread — wall-clock time, in-process loopback transport with real
-//     queues, true concurrency;
-//   * runtime::SocketRuntime (socket_env.h) hosts each node on its own OS
-//     thread with its own UDP socket — wall-clock time, every message
-//     framed and carried by the kernel, in one process or many.
-// The two wall-clock backends share their clock, timer service, and Env
-// base (wall_clock_env.h).
+//   * runtime::EventLoop (event_loop.h) hosts each node on its own OS
+//     thread — wall-clock time, true concurrency, optional per-node
+//     prologue worker pools — over one of two transports:
+//     runtime::ThreadedRuntime (threaded_env.h), in-process mailboxes with
+//     real queues; or runtime::SocketRuntime (socket_env.h), one UDP socket
+//     per node, every message framed and carried by the kernel, in one
+//     process or many.
 //
 // The contract every backend upholds (and protocol code relies on):
 //   * callbacks of one node never run concurrently with each other — a
@@ -33,7 +32,7 @@
 //     already-fired id is a harmless no-op;
 //   * messages handed to Send are immutable from that point on — a
 //     broadcast may deliver the same shared object to many receivers,
-//     concurrently under the threaded backend;
+//     concurrently under the wall-clock backends;
 //   * delivery is not reliable or ordered unless the backend says so.
 
 #ifndef PRESTIGE_RUNTIME_ENV_H_
@@ -94,7 +93,7 @@ class Env {
   // ---------------------------------------------------------------- Clock
 
   /// Microseconds since the run began — virtual under SimEnv, monotonic
-  /// wall clock under ThreadedRuntime.
+  /// wall clock under the EventLoop backends.
   virtual util::TimeMicros Now() const = 0;
 
   // ------------------------------------------------------------------ RNG
@@ -124,8 +123,8 @@ class Node {
   /// transition, run on the node's loop thread in original receive order.
   using VerdictFn = std::function<void()>;
 
-  /// Optional split-verification hook for parallel backends (the threaded
-  /// backend's OrderedRunner; the simulator never calls it).
+  /// Optional split-verification hook for parallel backends (the
+  /// wall-clock OrderedRunner pools; the simulator never calls it).
   ///
   /// When a backend delivers messages through a worker pool it invokes
   /// PreVerify *off the loop thread*. The implementation may perform the

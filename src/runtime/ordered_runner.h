@@ -27,7 +27,7 @@
 //
 // Stop() finishes every already-submitted prologue before joining the
 // workers (nothing is abandoned mid-task); call Drain() first when the
-// epilogues must run too — the threaded backend does exactly that on
+// epilogues must run too — the wall-clock event loop does exactly that on
 // shutdown.
 
 #ifndef PRESTIGE_RUNTIME_ORDERED_RUNNER_H_

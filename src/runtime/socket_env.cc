@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "net/socket.h"
 #include "net/wire.h"
 
 namespace prestige {
@@ -39,126 +40,96 @@ bool MakeNonBlockingPipe(int* read_fd, int* write_fd) {
 
 }  // namespace
 
-SocketRuntime::NodeState::~NodeState() {
-  if (wake_read >= 0) ::close(wake_read);
-  if (wake_write >= 0) ::close(wake_write);
-}
+struct SocketRuntime::Port final : Slot {
+  Port(SocketRuntime* runtime, Node* node_in, NodeId id, util::Rng rng)
+      : Slot(runtime, node_in, id, rng), writer(id), assembler(id) {}
+  ~Port() override {
+    if (wake_read >= 0) ::close(wake_read);
+    if (wake_write >= 0) ::close(wake_write);
+  }
 
-SocketRuntime::SocketRuntime(uint64_t seed) : seed_(seed) {}
+  net::UdpSocket socket;
+  net::FrameWriter writer;
+  net::FrameAssembler assembler;
+  net::FrameCounters send_counters;
+  /// Wake pipe: Stop() and local mailbox posts write one byte to pop the
+  /// loop out of poll(2).
+  int wake_read = -1;
+  int wake_write = -1;
+  std::vector<uint8_t> recv_buf = std::vector<uint8_t>(kRecvBufBytes);
+  std::vector<net::FrameAssembler::Complete> completes;
+};
+
+SocketRuntime::SocketRuntime(uint64_t seed) : EventLoop(0), seed_(seed) {}
 
 SocketRuntime::~SocketRuntime() { Stop(); }
 
 bool SocketRuntime::AddNode(Node* node, NodeId id,
                             const net::SockAddr& bind_addr,
                             std::string* error) {
-  assert(!started_ && "AddNode must precede Start()");
-  if (local_by_id_.count(id) > 0) {
+  assert(!started() && "AddNode must precede Start()");
+  if (Find(id) != nullptr) {
     if (error != nullptr) {
       *error = "duplicate local node id " + std::to_string(id);
     }
     return false;
   }
-  auto state = std::make_unique<NodeState>();
-  state->node = node;
-  state->id = id;
-  if (!state->socket.Bind(bind_addr, error)) return false;
-  if (!MakeNonBlockingPipe(&state->wake_read, &state->wake_write)) {
-    if (error != nullptr) *error = "wake pipe creation failed";
-    return false;
-  }
-  state->writer = std::make_unique<net::FrameWriter>(id);
-  state->assembler = std::make_unique<net::FrameAssembler>(id);
   // RNG derived from (seed, id) alone — unlike the registration-order fork
   // of the other backends, every process of a deployment reproduces the
   // same stream for a given node independently.
-  state->env = std::make_unique<NodeEnv>(
-      this, state.get(), id,
+  auto port = std::make_unique<Port>(
+      this, node, id,
       util::Rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (uint64_t{id} + 1))));
-  node->BindEnv(state->env.get());
-  peers_[id] = state->socket.local_addr();
-  local_by_id_[id] = state.get();
-  nodes_.push_back(std::move(state));
+  if (!port->socket.Bind(bind_addr, error)) return false;
+  if (!MakeNonBlockingPipe(&port->wake_read, &port->wake_write)) {
+    if (error != nullptr) *error = "wake pipe creation failed";
+    return false;
+  }
+  peers_[id] = port->socket.local_addr();
+  Register(std::move(port));
   return true;
 }
 
 void SocketRuntime::SetPeer(NodeId id, const net::SockAddr& addr) {
-  assert(!started_ && "SetPeer must precede Start()");
+  assert(!started() && "SetPeer must precede Start()");
   peers_[id] = addr;
 }
 
 net::SockAddr SocketRuntime::local_addr(NodeId id) const {
-  NodeState* s = FindLocal(id);
-  return s == nullptr ? net::SockAddr{} : s->socket.local_addr();
-}
-
-void SocketRuntime::Start() {
-  assert(!started_);
-  started_ = true;
-  stopped_ = false;
-  clock_.Reset();
-  for (auto& state : nodes_) {
-    NodeState* s = state.get();
-    s->thread = std::thread([this, s]() { RunLoop(s); });
-  }
-}
-
-void SocketRuntime::Stop() {
-  if (!started_ || stopped_) return;
-  stopped_ = true;
-  for (auto& state : nodes_) {
-    state->stop.store(true, std::memory_order_relaxed);
-    Wake(state.get());
-  }
-  for (auto& state : nodes_) {
-    if (state->thread.joinable()) state->thread.join();
-  }
+  const Slot* s = Find(id);
+  return s == nullptr ? net::SockAddr{}
+                      : static_cast<const Port*>(s)->socket.local_addr();
 }
 
 net::FrameCounters SocketRuntime::node_net_stats(NodeId id) const {
   net::FrameCounters total;
-  NodeState* s = FindLocal(id);
-  if (s != nullptr) {
-    total.MergeFrom(s->send_counters);
-    total.MergeFrom(s->assembler->counters());
+  if (const Slot* s = Find(id)) {
+    total.MergeFrom(static_cast<const Port*>(s)->send_counters);
+    total.MergeFrom(static_cast<const Port*>(s)->assembler.counters());
   }
   return total;
 }
 
 net::FrameCounters SocketRuntime::net_stats() const {
   net::FrameCounters total;
-  for (const auto& state : nodes_) {
-    total.MergeFrom(state->send_counters);
-    total.MergeFrom(state->assembler->counters());
-  }
+  for (const auto& s : slots()) total.MergeFrom(node_net_stats(s->env.id()));
   return total;
 }
 
-SocketRuntime::NodeState* SocketRuntime::FindLocal(NodeId id) const {
-  const auto it = local_by_id_.find(id);
-  return it == local_by_id_.end() ? nullptr : it->second;
-}
-
-void SocketRuntime::Wake(NodeState* s) {
+void SocketRuntime::Wake(Slot* slot) {
   const uint8_t byte = 1;
   // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
-  (void)!::write(s->wake_write, &byte, 1);
+  (void)!::write(static_cast<Port*>(slot)->wake_write, &byte, 1);
 }
 
-void SocketRuntime::SendFrom(NodeState* from, NodeId to,
-                             const MessagePtr& msg) {
+void SocketRuntime::Transmit(Slot* slot, NodeId to, const MessagePtr& msg) {
+  Port* from = static_cast<Port*>(slot);
   std::vector<uint8_t> payload;
   if (!net::EncodeMessage(*msg, &payload)) {
     // No wire form: deliverable only within this process.
-    NodeState* target = FindLocal(to);
-    if (target == nullptr) {
+    if (!Post(to, from->env.id(), msg)) {
       ++from->send_counters.unserializable_drops;
-      return;
     }
-    {
-      std::lock_guard<std::mutex> lock(target->mu);
-      target->mailbox.push_back(Inbound{from->id, msg});
-    }
-    Wake(target);
     return;
   }
   const auto peer = peers_.find(to);
@@ -169,7 +140,7 @@ void SocketRuntime::SendFrom(NodeState* from, NodeId to,
   // Every copy — self-sends and co-hosted destinations included — goes
   // through the kernel, so one process per node and n nodes per process
   // exercise the identical transport path.
-  for (const std::vector<uint8_t>& frame : from->writer->Split(to, payload)) {
+  for (const std::vector<uint8_t>& frame : from->writer.Split(to, payload)) {
     if (from->socket.SendTo(peer->second, frame.data(), frame.size())) {
       ++from->send_counters.frames_sent;
       from->send_counters.bytes_sent += frame.size();
@@ -179,76 +150,51 @@ void SocketRuntime::SendFrom(NodeState* from, NodeId to,
   }
 }
 
-void SocketRuntime::RunLoop(NodeState* s) {
-  s->node->OnStart();
-  std::vector<uint8_t> buf(kRecvBufBytes);
-  std::vector<net::FrameAssembler::Complete> completes;
-  std::deque<Inbound> local;
-  uint8_t drain[64];
-  while (!s->stop.load(std::memory_order_relaxed)) {
-    // Fire whatever is due, then learn how long poll may sleep.
-    const util::TimeMicros next_deadline = s->env->FireDueTimers(s->node);
-    int timeout_ms = kIdlePollMs;
-    if (next_deadline >= 0) {
-      const util::TimeMicros now = Now();
-      timeout_ms =
-          next_deadline <= now
-              ? 0
-              : static_cast<int>(std::min<int64_t>(
-                    (next_deadline - now + 999) / 1000, kIdlePollMs));
-    }
-    const int fds[2] = {s->socket.fd(), s->wake_read};
-    bool readable[2] = {false, false};
-    net::PollSockets(fds, readable, 2, timeout_ms);
-    if (s->stop.load(std::memory_order_relaxed)) return;
+bool SocketRuntime::Wait(Slot* slot, util::TimeMicros next_deadline,
+                         Batch* batch) {
+  Port* p = static_cast<Port*>(slot);
+  int timeout_ms = kIdlePollMs;
+  if (next_deadline >= 0) {
+    const util::TimeMicros now = Now();
+    timeout_ms =
+        next_deadline <= now
+            ? 0
+            : static_cast<int>(std::min<int64_t>(
+                  (next_deadline - now + 999) / 1000, kIdlePollMs));
+  }
+  const int fds[2] = {p->socket.fd(), p->wake_read};
+  bool readable[2] = {false, false};
+  net::PollSockets(fds, readable, 2, timeout_ms);
+  if (p->stop.load(std::memory_order_relaxed)) return false;
 
-    if (readable[1]) {
-      while (::read(s->wake_read, drain, sizeof(drain)) > 0) {
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(s->mu);
-      local.swap(s->mailbox);
-    }
-    for (Inbound& in : local) {
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      s->node->OnMessage(in.from, in.msg);
-    }
-    local.clear();
-
-    if (!readable[0]) continue;
-    for (int burst = 0; burst < kRecvBurst; ++burst) {
-      const long got = s->socket.RecvFrom(buf.data(), buf.size());
-      if (got < 0) break;
-      completes.clear();
-      s->assembler->Accept(buf.data(), static_cast<size_t>(got), &completes);
-      for (net::FrameAssembler::Complete& c : completes) {
-        const MessagePtr msg =
-            net::DecodeMessage(c.payload.data(), c.payload.size());
-        if (msg == nullptr) {
-          // Frame layer was satisfied but the body is malformed: counted
-          // drop, nothing applied.
-          ++s->assembler->counters().decode_drops;
-          continue;
-        }
-        delivered_.fetch_add(1, std::memory_order_relaxed);
-        s->node->OnMessage(c.src, msg);
-      }
+  if (readable[1]) {
+    uint8_t drain[64];
+    while (::read(p->wake_read, drain, sizeof(drain)) > 0) {
     }
   }
-}
-
-// ------------------------------------------------------------------ NodeEnv
-
-void SocketRuntime::NodeEnv::Send(NodeId to, MessagePtr msg) {
-  runtime_->SendFrom(state_, to, msg);
-}
-
-void SocketRuntime::NodeEnv::Send(const std::vector<NodeId>& targets,
-                                  MessagePtr msg) {
-  for (NodeId to : targets) {
-    runtime_->SendFrom(state_, to, msg);
+  {
+    std::lock_guard<std::mutex> lock(p->mu);
+    batch->swap(p->mailbox);
   }
+  if (!readable[0]) return true;
+  for (int burst = 0; burst < kRecvBurst; ++burst) {
+    const long got = p->socket.RecvFrom(p->recv_buf.data(), p->recv_buf.size());
+    if (got < 0) break;
+    p->completes.clear();
+    p->assembler.Accept(p->recv_buf.data(), static_cast<size_t>(got),
+                        &p->completes);
+    for (net::FrameAssembler::Complete& c : p->completes) {
+      MessagePtr msg = net::DecodeMessage(c.payload.data(), c.payload.size());
+      if (msg == nullptr) {
+        // Frame layer was satisfied but the body is malformed: counted
+        // drop, nothing applied.
+        ++p->assembler.counters().decode_drops;
+        continue;
+      }
+      batch->push_back(Inbound{c.src, std::move(msg)});
+    }
+  }
+  return true;
 }
 
 }  // namespace runtime

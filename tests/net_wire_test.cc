@@ -507,6 +507,19 @@ TEST(AddressTest, MalformedConfigsAreRejected) {
       "node 0 replica 127.0.0.1:9000 127.0.0.1:9100\n"
       "node 0 replica 127.0.0.1:9001 127.0.0.1:9101\n",
       &parsed, &error));
+  // Ids outside 0..N-1: a huge id must be refused before any runtime sizes
+  // its node table by it.
+  ClusterConfig huge;
+  EXPECT_FALSE(ParseClusterConfig(
+      "node 4000000000 replica 127.0.0.1:9000 127.0.0.1:9100\n", &huge,
+      &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  ClusterConfig gap;
+  EXPECT_FALSE(ParseClusterConfig(
+      "node 0 replica 127.0.0.1:9000 127.0.0.1:9100\n"
+      "node 2 pool 127.0.0.1:9002 127.0.0.1:9102\n",
+      &gap, &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
 
 TEST(AddressTest, SockAddrParsing) {

@@ -224,14 +224,11 @@ TEST(SocketRuntimeTest, HostileDatagramsAreCountedDropsNotCrashes) {
     ASSERT_TRUE(attacker.SendTo(target, datagram.data(), datagram.size()));
   }
 
-  EXPECT_TRUE(SpinUntil(
-      [&] {
-        const net::FrameCounters c = runtime.node_net_stats(0);
-        return c.header_drops >= 1 && c.decode_drops >= 1;
-      },
-      5000));
-
-  // The victim still processes legitimate traffic after the attack.
+  // The victim still processes legitimate traffic after the attack. The
+  // legitimate datagram follows the hostile ones over the same loopback
+  // socket pair, so once the victim has handled it the hostile ones have
+  // been counted too. The drop counters belong to the loop thread: read
+  // them only after Stop().
   std::vector<uint8_t> wire;
   core::NoiseMsg noise;
   noise.bytes = 1;
