@@ -63,14 +63,18 @@
 // through the hardened wire codec — and adds a "socket" JSON block with
 // wall-clock numbers plus frame/drop counters. `--list` prints scenarios,
 // protocol configs, and runtime backends. Exit status is 2 on usage
-// errors (unknown scenarios, unknown --runtime values, sim-only scenarios
+// errors (unknown scenarios, unknown --runtime values, malformed or
+// out-of-range --seeds/--seed/--jobs/--workers/--groups, sim-only scenarios
 // under a real-time backend, threaded-only flags without
 // --runtime=threaded), 1 when any output failed to write OR any
 // scenario — simulated, threaded, or socket — violated a safety invariant
 // — CI keys off this.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -193,69 +197,63 @@ ScenarioResult Instrumented(const std::function<void(ScenarioResult&)>& body) {
   return r;
 }
 
-/// Runs a simulated PrestigeBFT cluster through `warmup` then `measure`
-/// and fills the client-observed metrics of the measurement window.
-/// `at_measure` runs between the two (e.g. to crash the leader).
-void MeasureWindow(
-    harness::Cluster<core::PrestigeReplica, core::PrestigeConfig>& cluster,
-    util::DurationMicros warmup, util::DurationMicros measure,
-    ScenarioResult& r, const std::function<void()>& at_measure = {}) {
-  cluster.Start();
-  cluster.RunFor(warmup);
-  const int64_t before = cluster.ClientCommitted();
-  if (at_measure) at_measure();
-  cluster.RunFor(measure);
-  r.committed = cluster.ClientCommitted() - before;
-  r.tps = static_cast<double>(r.committed) / util::ToSeconds(measure);
-  r.p50_ms = cluster.LatencyPercentileMs(50);
-  r.p99_ms = cluster.LatencyPercentileMs(99);
-  for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
-    r.view_changes += cluster.replica(i).metrics().view_changes_started;
-    r.elections_won += cluster.replica(i).metrics().elections_won;
-  }
-  r.events = cluster.simulator().events_executed();
+/// A classic scenario: one simulated PrestigeBFT run of `spec` (warmup,
+/// then measure; MeasuredSpec) through the one measured-run path. The flat
+/// fields describe the measure window, and the replies /
+/// duplicate_suppressed / result_mismatches fields stay 0, as they always
+/// have for classic scenarios. A safety violation fails the run.
+ScenarioResult RunClassic(const harness::ScenarioSpec& spec,
+                          const core::PrestigeConfig& config,
+                          const harness::WorkloadOptions& workload) {
+  return Instrumented([&](ScenarioResult& r) {
+    const harness::ScenarioSeedResult run =
+        MeasureScenario<core::PrestigeReplica>(spec, config, workload,
+                                               &r.safe);
+    r.n = spec.n;
+    r.committed = run.phases.back().committed;
+    r.tps = run.phases.back().Tps();
+    r.p50_ms = run.p50_ms;
+    r.p99_ms = run.p99_ms;
+    r.view_changes = run.view_changes;
+    r.elections_won = run.elections_won;
+    r.events = run.events;
+    // The run's own meter counted its hashing; Instrumented adds what its
+    // meter saw outside the run.
+    r.sha256_hashes = run.hashes;
+  });
 }
 
 /// Steady-state replication on an n-server fault-free cluster.
 ScenarioResult RunReplication(uint32_t n) {
-  return Instrumented([n](ScenarioResult& r) {
-    r.n = n;
-    core::PrestigeConfig config = PaperPrestigeConfig(n, 1000);
-    harness::Cluster<core::PrestigeReplica, core::PrestigeConfig> cluster(
-        config, SaturatingWorkload(/*seed=*/42, /*pools=*/8, /*clients=*/200));
-    MeasureWindow(cluster, util::Seconds(2), util::Seconds(4), r);
-  });
+  return RunClassic(
+      MeasuredSpec("replication_n" + std::to_string(n), n, {},
+                   util::Seconds(2), util::Seconds(4)),
+      PaperPrestigeConfig(n, 1000),
+      SaturatingWorkload(/*seed=*/42, /*pools=*/8, /*clients=*/200));
 }
 
 /// Replication with periodic leader rotation: exercises the view-change
 /// path (redeemer -> candidate -> leader) many times per run.
 ScenarioResult RunViewChangeChurn() {
-  return Instrumented([](ScenarioResult& r) {
-    constexpr uint32_t kN = 8;
-    r.n = kN;
-    core::PrestigeConfig config = PaperPrestigeConfig(kN, 500);
-    config.rotation_period = util::Seconds(1);
-    harness::Cluster<core::PrestigeReplica, core::PrestigeConfig> cluster(
-        config, SaturatingWorkload(/*seed=*/7, /*pools=*/4, /*clients=*/100));
-    MeasureWindow(cluster, util::Seconds(2), util::Seconds(8), r);
-  });
+  core::PrestigeConfig config = PaperPrestigeConfig(8, 500);
+  config.rotation_period = util::Seconds(1);
+  return RunClassic(
+      MeasuredSpec("view_change_churn", 8, {}, util::Seconds(2),
+                   util::Seconds(8)),
+      config, SaturatingWorkload(/*seed=*/7, /*pools=*/4, /*clients=*/100));
 }
 
-/// Leader crash and recovery: one forced view change under load.
+/// Leader crash and recovery: one forced view change under load. Replica 0
+/// starts as view-1 leader and goes down when the measure window opens.
 ScenarioResult RunLeaderCrash() {
-  return Instrumented([](ScenarioResult& r) {
-    constexpr uint32_t kN = 4;
-    r.n = kN;
-    core::PrestigeConfig config = PaperPrestigeConfig(kN, 500);
-    std::vector<types::FaultSpec> faults(kN, types::FaultSpec::Honest());
-    faults[0] = types::FaultSpec::Crash(util::Seconds(3));
-    harness::Cluster<core::PrestigeReplica, core::PrestigeConfig> cluster(
-        config, SaturatingWorkload(/*seed=*/13, /*pools=*/4, /*clients=*/100),
-        faults);
-    // Replica 0 starts as view-1 leader.
-    MeasureWindow(cluster, util::Seconds(2), util::Seconds(6), r,
-                  [&cluster] { cluster.SetReplicaDown(0, true); });
-  });
+  std::vector<types::FaultSpec> faults(4, types::FaultSpec::Honest());
+  faults[0] = types::FaultSpec::Crash(util::Seconds(3));
+  harness::ScenarioSpec spec = MeasuredSpec(
+      "leader_crash", 4, std::move(faults), util::Seconds(2), util::Seconds(6));
+  spec.phases.back().crash = {0};
+  return RunClassic(
+      spec, PaperPrestigeConfig(4, 500),
+      SaturatingWorkload(/*seed=*/13, /*pools=*/4, /*clients=*/100));
 }
 
 /// Hot-path microbenchmark: repeated TxBlock / VcBlock digest reads, the
@@ -839,18 +837,46 @@ void PrintList() {
       "            (fault-free declarative scenarios only)\n");
 }
 
+/// Parses one decimal count in [lo, hi] at `p` — digits only: no sign, no
+/// space, no overflow — and returns the byte after it, or nullptr.
+const char* ParseCount(const char* p, unsigned long long lo,
+                       unsigned long long hi, unsigned long long* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*p))) return nullptr;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(p, &end, 10);
+  if (errno == ERANGE || *out < lo || *out > hi) return nullptr;
+  return end;
+}
+
+/// Parses `flag`'s value: one count in [lo, hi] and nothing after it.
+/// Prints the usage error and returns false on malformed input.
+template <typename T>
+bool ParseFlagCount(const char* flag, const char* p, unsigned long long lo,
+                    unsigned long long hi, T* out) {
+  unsigned long long v = 0;
+  const char* end = ParseCount(p, lo, hi, &v);
+  if (end == nullptr || *end != '\0') {
+    std::fprintf(stderr, "bench_runner: %s expects a count in [%llu,%llu]\n",
+                 flag, lo, hi);
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
 /// Parses a comma-separated list of counts in [lo, hi] for `flag`.
 /// Prints the usage error and returns false on malformed input.
-bool ParseCounts(const char* flag, const char* p, unsigned long lo,
-                 unsigned long hi, std::vector<uint32_t>* out) {
+bool ParseCounts(const char* flag, const char* p, unsigned long long lo,
+                 unsigned long long hi, std::vector<uint32_t>* out) {
   out->clear();
   while (*p != '\0') {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(p, &end, 10);
-    if (end == p || (*end != ',' && *end != '\0') || v < lo || v > hi) {
+    unsigned long long v = 0;
+    const char* end = ParseCount(p, lo, hi, &v);
+    if (end == nullptr || (*end != ',' && *end != '\0')) {
       std::fprintf(stderr,
                    "bench_runner: %s expects a comma-separated "
-                   "list of counts in [%lu,%lu]\n",
+                   "list of counts in [%llu,%llu]\n",
                    flag, lo, hi);
       return false;
     }
@@ -902,20 +928,16 @@ int ParseArgs(int argc, char** argv, Options* o) {
     } else if (std::strcmp(arg, "--scenario") == 0 && has_value) {
       o->selected.emplace_back(argv[++i]);
     } else if (std::strcmp(arg, "--seeds") == 0 && has_value) {
-      o->seeds = static_cast<uint32_t>(std::atoi(argv[++i]));
-      if (o->seeds == 0) {
-        std::fprintf(stderr, "bench_runner: --seeds must be >= 1\n");
+      if (!ParseFlagCount("--seeds", argv[++i], 1, 100000, &o->seeds)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--seed") == 0 && has_value) {
-      o->base_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--jobs") == 0 && has_value) {
-      const int jobs = std::atoi(argv[++i]);
-      if (jobs < 1) {
-        std::fprintf(stderr, "bench_runner: --jobs must be >= 1\n");
+      if (!ParseFlagCount("--seed", argv[++i], 0, UINT64_MAX,
+                          &o->base_seed)) {
         return 2;
       }
-      o->jobs = static_cast<uint32_t>(jobs);
+    } else if (std::strcmp(arg, "--jobs") == 0 && has_value) {
+      if (!ParseFlagCount("--jobs", argv[++i], 1, 1024, &o->jobs)) return 2;
     } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
       threaded_only = arg;
       if (!ParseCounts("--workers", argv[++i], 0, 256, &o->worker_counts)) {

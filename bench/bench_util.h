@@ -1,6 +1,7 @@
-// Shared helpers for the figure-reproduction benches. Each bench binary
-// runs argument-free and prints the series of one paper figure, with the
-// paper's reported values alongside for comparison (see EXPERIMENTS.md).
+// Shared helpers for the figure-reproduction benches and bench_runner. Each
+// figure binary runs argument-free and prints the series of one paper
+// figure, with the paper's reported values alongside for comparison (see
+// README.md, "Benchmarks").
 
 #ifndef PRESTIGE_BENCH_BENCH_UTIL_H_
 #define PRESTIGE_BENCH_BENCH_UTIL_H_
@@ -19,87 +20,44 @@
 namespace prestige {
 namespace bench {
 
-/// Outcome of one measured run.
-struct RunResult {
-  double tps = 0.0;
-  double mean_latency_ms = 0.0;
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  int64_t committed = 0;
-};
-
-/// Builds a cluster of `Replica`, runs warmup + measure, and reports
-/// client-observed throughput/latency over the measurement window.
-template <typename Replica, typename Config>
-RunResult MeasureCluster(Config config, harness::WorkloadOptions workload,
-                         std::vector<types::FaultSpec> faults,
-                         util::DurationMicros warmup,
-                         util::DurationMicros measure,
-                         int timeline_replica = -1) {
-  harness::Cluster<Replica, Config> cluster(config, workload,
-                                            std::move(faults));
-  cluster.Start();
-  cluster.RunFor(warmup);
-  const int64_t committed_before = cluster.ClientCommitted();
-  cluster.RunFor(measure);
-
-  RunResult result;
-  result.committed = cluster.ClientCommitted();
-  if (timeline_replica >= 0) {
-    result.tps = cluster.ClientThroughputTps(warmup, warmup + measure,
-                                             timeline_replica);
-  } else {
-    result.tps = static_cast<double>(result.committed - committed_before) /
-                 util::ToSeconds(measure);
-  }
-  result.mean_latency_ms = cluster.MeanLatencyMs();
-  result.p50_latency_ms = cluster.LatencyPercentileMs(50);
-  result.p99_latency_ms = cluster.LatencyPercentileMs(99);
-  return result;
-}
-
-/// Invariant-checked variant of MeasureCluster: wraps the (faults, warmup,
-/// measure) shape into a two-phase ScenarioSpec and runs it through the
-/// scenario runner, so the cross-replica safety invariants sweep at both
-/// phase boundaries. TPS covers the measure phase only, like
-/// MeasureCluster's window. A violation prints to stderr and clears
-/// `*safe` (never set back to true), letting figure binaries keep their
-/// tables while exiting non-zero on any safety failure.
-template <typename Replica, typename Config>
-RunResult MeasureScenario(const std::string& name, Config config,
-                          harness::WorkloadOptions workload,
-                          std::vector<types::FaultSpec> faults,
-                          util::DurationMicros warmup,
-                          util::DurationMicros measure, bool* safe) {
+/// The two-phase spec every measured bench run executes on `n` replicas
+/// with the `faults` cast: a `warmup` phase, then a `measure` phase whose
+/// PhaseOutcome is the measurement window.
+inline harness::ScenarioSpec MeasuredSpec(const std::string& name, uint32_t n,
+                                          std::vector<types::FaultSpec> faults,
+                                          util::DurationMicros warmup,
+                                          util::DurationMicros measure) {
   harness::ScenarioSpec spec;
   spec.name = name;
-  spec.n = config.n;
+  spec.n = n;
   spec.byzantine = std::move(faults);
-  harness::Phase warm;
-  warm.name = "warmup";
-  warm.duration = warmup;
-  spec.phases.push_back(warm);
-  harness::Phase meas;
-  meas.name = "measure";
-  meas.duration = measure;
-  spec.phases.push_back(meas);
+  spec.phases.resize(2);
+  spec.phases[0].name = "warmup";
+  spec.phases[0].duration = warmup;
+  spec.phases[1].name = "measure";
+  spec.phases[1].duration = measure;
+  return spec;
+}
 
-  const harness::ScenarioSeedResult r =
+/// The one bench-side measured run: `spec` through the scenario runner, so
+/// the cross-replica safety invariants sweep at every phase boundary. The
+/// measure window's throughput is `phases.back().Tps()`; latency and the
+/// other harvested metrics cover the whole run. A violation prints to
+/// stderr and clears `*safe` (never set back to true), letting binaries
+/// keep their tables while exiting non-zero on any safety failure.
+template <typename Replica, typename Config>
+harness::ScenarioSeedResult MeasureScenario(
+    const harness::ScenarioSpec& spec, Config config,
+    const harness::WorkloadOptions& workload, bool* safe) {
+  harness::ScenarioSeedResult r =
       harness::RunScenarioSeed<Replica, Config>(spec, config, workload);
-
-  RunResult result;
-  result.committed = r.committed;
-  result.tps = static_cast<double>(r.phases.back().committed) /
-               util::ToSeconds(std::max<util::DurationMicros>(1, measure));
-  result.p50_latency_ms = r.p50_ms;
-  result.p99_latency_ms = r.p99_ms;
   if (!r.safety_ok) {
     std::fprintf(stderr, "SAFETY VIOLATION %s (seed %llu): %s\n",
-                 name.c_str(), static_cast<unsigned long long>(r.seed),
+                 spec.name.c_str(), static_cast<unsigned long long>(r.seed),
                  r.violation.c_str());
     *safe = false;
   }
-  return result;
+  return r;
 }
 
 /// True when this binary was built with any sanitizer instrumentation.

@@ -38,10 +38,13 @@ std::vector<types::FaultSpec> MakeFaults(uint32_t n, uint32_t f,
   return faults;
 }
 
-std::string CellName(const char* proto, const char* policy, const char* kind,
-                     uint32_t n, uint32_t f) {
-  return std::string("fig09_") + proto + "_" + policy + "_" + kind + "_n" +
-         std::to_string(n) + "_f" + std::to_string(f);
+harness::ScenarioSpec CellSpec(const char* proto, const char* policy,
+                               const char* kind, uint32_t n, uint32_t f,
+                               types::FaultType type) {
+  return MeasuredSpec(std::string("fig09_") + proto + "_" + policy + "_" +
+                          kind + "_n" + std::to_string(n) + "_f" +
+                          std::to_string(f),
+                      n, MakeFaults(n, f, type), kWarmup, kMeasure);
 }
 
 void RunScale(uint32_t n, const std::vector<uint32_t>& f_values) {
@@ -70,10 +73,9 @@ void RunScale(uint32_t n, const std::vector<uint32_t>& f_values) {
         core::PrestigeConfig config = PaperPrestigeConfig(n, 1000);
         config.rotation_period = policy.period;
         auto r = MeasureScenario<core::PrestigeReplica>(
-            CellName("pb", policy.name, fault_names[ft], n, f), config,
-            SaturatingWorkload(900 + n + f + ft, 8, 150),
-            MakeFaults(n, f, fault_types[ft]), kWarmup, kMeasure, &g_safe);
-        std::printf(" %10.0f", r.tps);
+            CellSpec("pb", policy.name, fault_names[ft], n, f, fault_types[ft]),
+            config, SaturatingWorkload(900 + n + f + ft, 8, 150), &g_safe);
+        std::printf(" %10.0f", r.phases.back().Tps());
       }
       std::printf("\n");
       // HotStuff.
@@ -83,10 +85,9 @@ void RunScale(uint32_t n, const std::vector<uint32_t>& f_values) {
             PaperHotStuffConfig(n, 1000);
         config.rotation_period = policy.period;
         auto r = MeasureScenario<baselines::hotstuff::HotStuffReplica>(
-            CellName("hs", policy.name, fault_names[ft], n, f), config,
-            SaturatingWorkload(950 + n + f + ft, 8, 150),
-            MakeFaults(n, f, fault_types[ft]), kWarmup, kMeasure, &g_safe);
-        std::printf(" %10.0f", r.tps);
+            CellSpec("hs", policy.name, fault_names[ft], n, f, fault_types[ft]),
+            config, SaturatingWorkload(950 + n + f + ft, 8, 150), &g_safe);
+        std::printf(" %10.0f", r.phases.back().Tps());
       }
       std::printf("\n");
     }

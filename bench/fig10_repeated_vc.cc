@@ -35,10 +35,12 @@ std::vector<types::FaultSpec> MakeAttackers(
   return faults;
 }
 
-std::string CellName(const char* proto, const char* kind, uint32_t n,
-                     uint32_t f) {
-  return std::string("fig10_") + proto + "_r10_" + kind + "_n" +
-         std::to_string(n) + "_f" + std::to_string(f);
+harness::ScenarioSpec CellSpec(const char* proto, const char* kind,
+                               uint32_t n, uint32_t f,
+                               types::LeaderMisbehaviour misbehaviour) {
+  return MeasuredSpec(std::string("fig10_") + proto + "_r10_" + kind + "_n" +
+                          std::to_string(n) + "_f" + std::to_string(f),
+                      n, MakeAttackers(n, f, misbehaviour), kWarmup, kMeasure);
 }
 
 void RunScale(uint32_t n, const std::vector<uint32_t>& f_values) {
@@ -54,10 +56,9 @@ void RunScale(uint32_t n, const std::vector<uint32_t>& f_values) {
       core::PrestigeConfig config = PaperPrestigeConfig(n, 1000);
       config.rotation_period = util::Seconds(2);
       auto r = MeasureScenario<core::PrestigeReplica>(
-          CellName("pb", kind_names[k], n, f), config,
-          SaturatingWorkload(1000 + n + f + k, 8, 150),
-          MakeAttackers(n, f, kinds[k]), kWarmup, kMeasure, &g_safe);
-      std::printf(" f=%u: %8.0f", f, r.tps);
+          CellSpec("pb", kind_names[k], n, f, kinds[k]),
+          config, SaturatingWorkload(1000 + n + f + k, 8, 150), &g_safe);
+      std::printf(" f=%u: %8.0f", f, r.phases.back().Tps());
     }
     std::printf("\n");
     std::printf("hs_r10_%-12s", kind_names[k]);
@@ -66,10 +67,9 @@ void RunScale(uint32_t n, const std::vector<uint32_t>& f_values) {
           PaperHotStuffConfig(n, 1000);
       config.rotation_period = util::Seconds(2);
       auto r = MeasureScenario<baselines::hotstuff::HotStuffReplica>(
-          CellName("hs", kind_names[k], n, f), config,
-          SaturatingWorkload(1050 + n + f + k, 8, 150),
-          MakeAttackers(n, f, kinds[k]), kWarmup, kMeasure, &g_safe);
-      std::printf(" f=%u: %8.0f", f, r.tps);
+          CellSpec("hs", kind_names[k], n, f, kinds[k]),
+          config, SaturatingWorkload(1050 + n + f + k, 8, 150), &g_safe);
+      std::printf(" f=%u: %8.0f", f, r.phases.back().Tps());
     }
     std::printf("\n");
   }

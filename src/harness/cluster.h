@@ -410,27 +410,6 @@ class Cluster {
     return total;
   }
 
-  /// Throughput observed by clients over [from, to] in tx/s. Uses replica 0's
-  /// honest commit timeline when `replica_timeline` >= 0.
-  double ClientThroughputTps(util::TimeMicros from, util::TimeMicros to,
-                             int replica_timeline = -1) const {
-    if (to <= from) return 0.0;
-    if (replica_timeline >= 0) {
-      const auto& timeline =
-          replicas_[replica_timeline]->metrics().commit_timeline;
-      int64_t count = 0;
-      const auto& buckets = timeline.buckets();
-      const size_t lo = static_cast<size_t>(from / timeline.window());
-      const size_t hi = static_cast<size_t>(to / timeline.window());
-      for (size_t i = lo; i < hi && i < buckets.size(); ++i) {
-        count += buckets[i];
-      }
-      return static_cast<double>(count) / util::ToSeconds(to - from);
-    }
-    return static_cast<double>(ClientCommitted()) /
-           util::ToSeconds(to - from);
-  }
-
   /// Mean client latency in milliseconds across pools.
   double MeanLatencyMs() {
     double weighted = 0.0;

@@ -24,19 +24,24 @@
 // (BuildByzantineSet in harness/adversary.h composes both). A scripted
 // forged-reply replica genuinely diverges its application state, so
 // including it would turn check (3) into a false safety violation.
+//
+// Checks 1-4 live in one loop, SweepChains. CheckSafety adapts live
+// replica objects to it (ReplicaChains: in-process clusters, one shard
+// group's range, perfbench's replica set); the process cluster adapts its
+// nodes' self-reported chains (process_cluster.cc).
 
 #ifndef PRESTIGE_HARNESS_INVARIANTS_H_
 #define PRESTIGE_HARNESS_INVARIANTS_H_
 
 #include <cstdio>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ledger/block_store.h"
 #include "shard/router.h"
+#include "types/fault_spec.h"
 #include "util/hex.h"
 
 namespace prestige {
@@ -48,45 +53,54 @@ struct SafetyReport {
   std::string violation;  ///< Human-readable description when !ok.
   types::SeqNum min_height = 0;  ///< Shortest honest committed chain.
   types::SeqNum max_height = 0;  ///< Longest honest committed chain.
-  int64_t executed_total = 0;    ///< Service executions over honest replicas.
-  int64_t duplicates_total = 0;  ///< Session-table dedup hits, ditto.
 };
 
-/// Checks chain agreement across every honest replica of `cluster`. Works
-/// for any Cluster<Replica, Config> whose Replica exposes store() and
-/// fault() (PrestigeBFT, HotStuff, and SBFT all do). `byzantine` marks
-/// replicas excluded from every agreement check in addition to the
-/// FaultSpec-derived exclusions; indices beyond its size count as honest.
-template <typename Cluster>
-SafetyReport CheckSafety(const Cluster& cluster,
-                         const std::vector<bool>& byzantine) {
+/// One replica's execution counters, as the sweep reads them.
+struct ExecutionCounters {
+  int64_t executed = 0;
+  int64_t duplicates = 0;
+  uint64_t state_digest = 0;
+};
+
+/// The chain and execution invariants over one replica set: the only
+/// implementation, which CheckSafety and the process cluster's
+/// reported-chain sweep adapt their replicas to. `Chains` exposes
+/// num_replicas(), and for replica i: excluded(i), id(i) (the name
+/// violations use), chain(i) (a vector of blocks) and execution(i); and,
+/// as static functions of a block, DigestOf(), SeqOf() and TxsOf(), plus
+/// DigestText(digest). Digests compare with ==; a default-constructed
+/// `Chains::Digest` marks a height nobody holds yet.
+template <typename Chains>
+SafetyReport SweepChains(const Chains& chains) {
+  using Digest = typename Chains::Digest;
   SafetyReport report;
+  char buf[224];
+  const auto fail = [&report, &buf]() {
+    report.ok = false;
+    report.violation = buf;
+    return report;
+  };
   // Reference chain per height: (digest, owner) of the first honest
   // replica seen holding that height.
   struct Reference {
-    crypto::Sha256Digest digest;
-    uint32_t owner;
+    Digest digest{};
+    uint32_t owner = 0;
   };
   std::vector<Reference> reference;
-  bool first_honest = true;
   // Execution reference per chain height: (state digest, executed count,
   // owner) of the first honest replica seen at that height.
   struct ExecReference {
-    uint64_t state_digest = 0;
-    int64_t executed = 0;
+    ExecutionCounters counters;
     uint32_t owner = 0;
     bool set = false;
   };
   std::unordered_map<types::SeqNum, ExecReference> exec_reference;
+  bool first_honest = true;
 
-  for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
-    const auto& replica = cluster.replica(i);
-    if (replica.fault().IsByzantine() &&
-        replica.fault().type != types::FaultType::kCrash) {
-      continue;
-    }
-    if (i < byzantine.size() && byzantine[i]) continue;
-    const auto& chain = replica.store().tx_chain();
+  for (uint32_t i = 0; i < chains.num_replicas(); ++i) {
+    if (chains.excluded(i)) continue;
+    const uint32_t id = chains.id(i);
+    const auto& chain = chains.chain(i);
     const types::SeqNum height = static_cast<types::SeqNum>(chain.size());
     if (first_honest || height < report.min_height) {
       report.min_height = height;
@@ -96,75 +110,113 @@ SafetyReport CheckSafety(const Cluster& cluster,
     }
     first_honest = false;
 
+    // 1 + 2. Agreement at every height this replica holds.
     if (reference.size() < chain.size()) reference.resize(chain.size());
+    int64_t chain_txs = 0;
     for (size_t k = 0; k < chain.size(); ++k) {
-      const crypto::Sha256Digest& digest = chain[k].Digest();
-      if (reference[k].digest == crypto::Sha256Digest{}) {
-        reference[k] = Reference{digest, i};
+      chain_txs += Chains::TxsOf(chain[k]);
+      const Digest& digest = Chains::DigestOf(chain[k]);
+      if (reference[k].digest == Digest{}) {
+        reference[k] = Reference{digest, id};
         continue;
       }
       if (reference[k].digest != digest) {
-        char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "conflicting txBlocks at n=%lld: replica %u has %s…, "
                       "replica %u has %s…",
-                      static_cast<long long>(chain[k].n()), reference[k].owner,
-                      util::HexEncode(reference[k].digest.data(), 4).c_str(),
-                      i, util::HexEncode(digest.data(), 4).c_str());
-        report.ok = false;
-        report.violation = buf;
-        return report;
+                      static_cast<long long>(Chains::SeqOf(chain[k])),
+                      reference[k].owner,
+                      Chains::DigestText(reference[k].digest).c_str(), id,
+                      Chains::DigestText(digest).c_str());
+        return fail();
       }
     }
 
     // 3. Execution-result agreement among replicas at this chain height.
-    const auto& delivery = replica.delivery();
-    const int64_t executed = delivery.stats().executed;
-    const int64_t duplicates = delivery.stats().duplicates_suppressed;
-    const uint64_t state_digest = delivery.service().StateDigest();
-    report.executed_total += executed;
-    report.duplicates_total += duplicates;
-    ExecReference& exec = exec_reference[height];
-    if (!exec.set) {
-      exec = ExecReference{state_digest, executed, i, true};
-    } else if (exec.state_digest != state_digest ||
-               exec.executed != executed) {
-      char buf[200];
+    const ExecutionCounters exec = chains.execution(i);
+    ExecReference& ref = exec_reference[height];
+    if (!ref.set) {
+      ref = ExecReference{exec, id, true};
+    } else if (ref.counters.state_digest != exec.state_digest ||
+               ref.counters.executed != exec.executed) {
       std::snprintf(buf, sizeof(buf),
                     "divergent execution at height %lld: replica %u "
                     "(digest=%016llx, executed=%lld) vs replica %u "
                     "(digest=%016llx, executed=%lld)",
-                    static_cast<long long>(height), exec.owner,
+                    static_cast<long long>(height), ref.owner,
+                    static_cast<unsigned long long>(ref.counters.state_digest),
+                    static_cast<long long>(ref.counters.executed), id,
                     static_cast<unsigned long long>(exec.state_digest),
-                    static_cast<long long>(exec.executed), i,
-                    static_cast<unsigned long long>(state_digest),
-                    static_cast<long long>(executed));
-      report.ok = false;
-      report.violation = buf;
-      return report;
+                    static_cast<long long>(exec.executed));
+      return fail();
     }
 
     // 4. Conservation: every committed transaction either executed exactly
     // once or was suppressed as a session duplicate — never both, never
     // neither.
-    int64_t chain_txs = 0;
-    for (const auto& block : chain) {
-      chain_txs += static_cast<int64_t>(block.BatchSize());
-    }
-    if (executed + duplicates != chain_txs) {
-      char buf[200];
+    if (exec.executed + exec.duplicates != chain_txs) {
       std::snprintf(buf, sizeof(buf),
                     "execution count mismatch on replica %u: chain carries "
                     "%lld txs but executed=%lld + duplicates=%lld",
-                    i, static_cast<long long>(chain_txs),
-                    static_cast<long long>(executed),
-                    static_cast<long long>(duplicates));
-      report.ok = false;
-      report.violation = buf;
-      return report;
+                    id, static_cast<long long>(chain_txs),
+                    static_cast<long long>(exec.executed),
+                    static_cast<long long>(exec.duplicates));
+      return fail();
     }
   }
   return report;
+}
+
+/// The sweep's view of live replica objects: replicas [first, first +
+/// count) of any Cluster<Replica, Config> whose Replica exposes store(),
+/// delivery() and fault() (PrestigeBFT, HotStuff, and SBFT all do), named
+/// by their index within the range and compared by full 32-byte block
+/// digests. `byzantine` is indexed like the cluster.
+template <typename Cluster>
+struct ReplicaChains {
+  using Digest = crypto::Sha256Digest;
+
+  const Cluster& cluster;
+  const std::vector<bool>& byzantine;
+  uint32_t first;
+  uint32_t count;
+
+  uint32_t num_replicas() const { return count; }
+  uint32_t id(uint32_t i) const { return i; }
+  bool excluded(uint32_t i) const {
+    const types::FaultSpec& fault = cluster.replica(first + i).fault();
+    return (fault.IsByzantine() && fault.type != types::FaultType::kCrash) ||
+           (first + i < byzantine.size() && byzantine[first + i]);
+  }
+  const std::vector<ledger::TxBlock>& chain(uint32_t i) const {
+    return cluster.replica(first + i).store().tx_chain();
+  }
+  ExecutionCounters execution(uint32_t i) const {
+    const auto& delivery = cluster.replica(first + i).delivery();
+    return {delivery.stats().executed, delivery.stats().duplicates_suppressed,
+            delivery.service().StateDigest()};
+  }
+  static const Digest& DigestOf(const ledger::TxBlock& block) {
+    return block.Digest();
+  }
+  static types::SeqNum SeqOf(const ledger::TxBlock& block) { return block.n(); }
+  static int64_t TxsOf(const ledger::TxBlock& block) {
+    return static_cast<int64_t>(block.BatchSize());
+  }
+  static std::string DigestText(const Digest& digest) {
+    return util::HexEncode(digest.data(), 4);
+  }
+};
+
+/// Checks chain agreement across every honest replica of `cluster` (any
+/// replica set with num_replicas() and replica(i)). `byzantine` marks
+/// replicas excluded from every agreement check in addition to the
+/// FaultSpec-derived exclusions; indices beyond its size count as honest.
+template <typename Cluster>
+SafetyReport CheckSafety(const Cluster& cluster,
+                         const std::vector<bool>& byzantine) {
+  return SweepChains(
+      ReplicaChains<Cluster>{cluster, byzantine, 0, cluster.num_replicas()});
 }
 
 /// All-honest convenience overload: no scripted adversaries beyond the
@@ -175,26 +227,6 @@ SafetyReport CheckSafety(const Cluster& cluster) {
 }
 
 // ------------------------------------------------------- sharded clusters
-
-/// One group's slice of a sharded cluster, shaped like an unsharded
-/// cluster (num_replicas() / replica(i)) so CheckSafety runs on it
-/// verbatim. Group g owns global replica indices
-/// [g * replicas_per_group, (g + 1) * replicas_per_group).
-template <typename Cluster>
-class GroupView {
- public:
-  GroupView(const Cluster& cluster, uint32_t group)
-      : cluster_(cluster), group_(group) {}
-
-  uint32_t num_replicas() const { return cluster_.replicas_per_group(); }
-  decltype(auto) replica(uint32_t i) const {
-    return cluster_.replica(group_ * cluster_.replicas_per_group() + i);
-  }
-
- private:
-  const Cluster& cluster_;
-  uint32_t group_;
-};
 
 /// Outcome of one sharded safety sweep.
 struct ShardedSafetyReport {
@@ -208,9 +240,10 @@ struct ShardedSafetyReport {
 };
 
 /// The sharded safety sweep:
-///  1. per-group committed-prefix + execution agreement — CheckSafety over
-///     each group's replica slice (groups never intercommunicate, so
-///     cross-group chains are unrelated by design and compared by nobody);
+///  1. per-group committed-prefix + execution agreement — the CheckSafety
+///     sweep over each group's replica range (groups never intercommunicate,
+///     so cross-group chains are unrelated by design and compared by
+///     nobody);
 ///  2. router consistency — every committed transaction routes (by its
 ///     routing key, under `router`) to the group that committed it, and
 ///     carries that group's id in its digest-covered `group` field;
@@ -218,16 +251,22 @@ struct ShardedSafetyReport {
 ///     of two different groups ("no key executes in two groups").
 ///
 /// `router` must be the geometry the workload generated against (same
-/// num_groups and salt).
+/// num_groups and salt). `byzantine` marks scripted adversaries by global
+/// replica index, as CheckSafety's does; they are excluded from every
+/// check.
 template <typename Cluster>
-ShardedSafetyReport CheckShardedSafety(const Cluster& cluster,
-                                       const shard::Router& router) {
+ShardedSafetyReport CheckShardedSafety(
+    const Cluster& cluster, const shard::Router& router,
+    const std::vector<bool>& byzantine = {}) {
   ShardedSafetyReport report;
   const uint32_t groups = cluster.num_groups();
   const uint32_t per_group = cluster.replicas_per_group();
+  const auto group = [&](uint32_t g) {
+    return ReplicaChains<Cluster>{cluster, byzantine, g * per_group,
+                                  per_group};
+  };
   for (uint32_t g = 0; g < groups; ++g) {
-    GroupView<Cluster> view(cluster, g);
-    SafetyReport group_report = CheckSafety(view);
+    SafetyReport group_report = SweepChains(group(g));
     const bool group_ok = group_report.ok;
     if (!group_ok) {
       report.ok = false;
@@ -244,21 +283,17 @@ ShardedSafetyReport CheckShardedSafety(const Cluster& cluster,
   // committed.
   std::unordered_map<uint64_t, uint32_t> key_owner;
   for (uint32_t g = 0; g < groups; ++g) {
-    using Chain = std::decay_t<decltype(cluster.replica(0).store().tx_chain())>;
-    const Chain* chain = nullptr;
+    const ReplicaChains<Cluster> chains = group(g);
+    const std::vector<ledger::TxBlock>* chain = nullptr;
     for (uint32_t i = 0; i < per_group; ++i) {
-      const auto& replica = cluster.replica(g * per_group + i);
-      if (replica.fault().IsByzantine() &&
-          replica.fault().type != types::FaultType::kCrash) {
-        continue;
-      }
-      const auto& candidate = replica.store().tx_chain();
+      if (chains.excluded(i)) continue;
+      const std::vector<ledger::TxBlock>& candidate = chains.chain(i);
       if (chain == nullptr || candidate.size() > chain->size()) {
         chain = &candidate;
       }
     }
     if (chain == nullptr) continue;  // All-Byzantine group: nothing to owe.
-    for (const auto& block : *chain) {
+    for (const ledger::TxBlock& block : *chain) {
       for (const auto& tx : block.txs()) {
         ++report.routed_txs;
         std::string violation;

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <thread>
 
 #include "net/socket.h"
@@ -153,101 +152,59 @@ bool ParseNodeStatus(const std::string& json, NodeReport* out) {
   return true;
 }
 
-bool SweepReportedSafety(const std::vector<NodeReport>& nodes,
-                         std::string* violation, int64_t* min_height,
-                         int64_t* max_height) {
-  // Reference digest per height index, and execution reference per chain
-  // height — the same sweep CheckSafety performs, over reported data.
-  struct Reference {
-    std::string digest_hex;
-    uint32_t owner = 0;
-  };
-  std::vector<Reference> reference;
-  struct ExecReference {
-    uint64_t state_digest = 0;
-    int64_t executed = 0;
-    uint32_t owner = 0;
-    bool set = false;
-  };
-  std::map<int64_t, ExecReference> exec_reference;
-  bool first = true;
-  *min_height = 0;
-  *max_height = 0;
+namespace {
 
+/// The sweep's view of self-reported replicas: each chain carries the
+/// first 8 bytes of every block digest as 16 hex chars, compared as
+/// reported.
+struct ReportedChains {
+  using Digest = std::string;
+  using Entry = NodeReport::ChainEntry;
+
+  std::vector<const NodeReport*> replicas;
+
+  uint32_t num_replicas() const {
+    return static_cast<uint32_t>(replicas.size());
+  }
+  uint32_t id(uint32_t i) const { return replicas[i]->id; }
+  bool excluded(uint32_t) const { return false; }
+  const std::vector<Entry>& chain(uint32_t i) const {
+    return replicas[i]->chain;
+  }
+  ExecutionCounters execution(uint32_t i) const {
+    return {replicas[i]->executed, replicas[i]->duplicates,
+            replicas[i]->state_digest};
+  }
+  static const Digest& DigestOf(const Entry& entry) {
+    return entry.digest_hex;
+  }
+  static types::SeqNum SeqOf(const Entry& entry) { return entry.n; }
+  static int64_t TxsOf(const Entry& entry) { return entry.txs; }
+  static const std::string& DigestText(const Digest& digest) {
+    return digest;
+  }
+};
+
+}  // namespace
+
+SafetyReport SweepReportedSafety(const std::vector<NodeReport>& nodes) {
+  ReportedChains chains;
+  SafetyReport refused;
+  refused.ok = false;
   for (const NodeReport& node : nodes) {
     if (!node.is_replica) continue;
     if (!node.responded) {
-      *violation =
+      refused.violation =
           "replica " + std::to_string(node.id) + " reported no status";
-      return false;
+      return refused;
     }
-    const int64_t height = static_cast<int64_t>(node.chain.size());
-    if (first || height < *min_height) *min_height = height;
-    if (first || height > *max_height) *max_height = height;
-    first = false;
-
-    if (reference.size() < node.chain.size()) {
-      reference.resize(node.chain.size());
-    }
-    for (size_t k = 0; k < node.chain.size(); ++k) {
-      const NodeReport::ChainEntry& entry = node.chain[k];
-      if (reference[k].digest_hex.empty()) {
-        reference[k] = Reference{entry.digest_hex, node.id};
-        continue;
-      }
-      if (reference[k].digest_hex != entry.digest_hex) {
-        char buf[200];
-        std::snprintf(buf, sizeof(buf),
-                      "conflicting txBlocks at n=%lld: replica %u has %s…, "
-                      "replica %u has %s…",
-                      static_cast<long long>(entry.n), reference[k].owner,
-                      reference[k].digest_hex.c_str(), node.id,
-                      entry.digest_hex.c_str());
-        *violation = buf;
-        return false;
-      }
-    }
-
-    ExecReference& exec = exec_reference[height];
-    if (!exec.set) {
-      exec = ExecReference{node.state_digest, node.executed, node.id, true};
-    } else if (exec.state_digest != node.state_digest ||
-               exec.executed != node.executed) {
-      char buf[220];
-      std::snprintf(buf, sizeof(buf),
-                    "divergent execution at height %lld: replica %u "
-                    "(digest=%016llx, executed=%lld) vs replica %u "
-                    "(digest=%016llx, executed=%lld)",
-                    static_cast<long long>(height), exec.owner,
-                    static_cast<unsigned long long>(exec.state_digest),
-                    static_cast<long long>(exec.executed), node.id,
-                    static_cast<unsigned long long>(node.state_digest),
-                    static_cast<long long>(node.executed));
-      *violation = buf;
-      return false;
-    }
-
-    int64_t chain_txs = 0;
-    for (const NodeReport::ChainEntry& entry : node.chain) {
-      chain_txs += entry.txs;
-    }
-    if (node.executed + node.duplicates != chain_txs) {
-      char buf[200];
-      std::snprintf(buf, sizeof(buf),
-                    "execution count mismatch on replica %u: chain carries "
-                    "%lld txs but executed=%lld + duplicates=%lld",
-                    node.id, static_cast<long long>(chain_txs),
-                    static_cast<long long>(node.executed),
-                    static_cast<long long>(node.duplicates));
-      *violation = buf;
-      return false;
-    }
+    chains.replicas.push_back(&node);
   }
-  if (first) {
-    *violation = "no replica reports to sweep";
-    return false;
+  if (chains.replicas.empty()) {
+    refused.violation = "no replica reports to sweep";
+    return refused;
   }
-  return true;
+  return SweepChains(chains);
 }
 
 bool AllocateLoopbackPorts(net::ClusterConfig* config, std::string* error) {
@@ -432,10 +389,13 @@ ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options) {
                    ? static_cast<double>(result.committed) /
                          result.duration_seconds
                    : 0.0;
-  result.safety_ok =
-      result.ran && SweepReportedSafety(result.nodes, &result.violation,
-                                        &result.min_height,
-                                        &result.max_height);
+  if (result.ran) {
+    const SafetyReport safety = SweepReportedSafety(result.nodes);
+    result.safety_ok = safety.ok;
+    result.violation = safety.violation;
+    result.min_height = safety.min_height;
+    result.max_height = safety.max_height;
+  }
   return result;
 }
 

@@ -9,10 +9,11 @@
 //   3. ping-barrier every control socket until the fleet is up;
 //   4. let the scripted duration elapse, then `stop` + `status` + `quit`
 //      each node over its control socket and reap the processes;
-//   5. parse the status JSON and re-run the CheckSafety sweep — per-height
+//   5. parse the status JSON and run the CheckSafety sweep — per-height
 //      digest agreement, execution agreement at equal heights, and
 //      executed + duplicates == chain-tx conservation — over the reported
-//      chains, exactly the invariants the in-process harnesses enforce.
+//      chains: the same loop (invariants.h's SweepChains) the in-process
+//      harnesses run, through an adapter over the reports.
 //
 // Unlike the in-process clusters this cannot inspect replica objects, so
 // nodes self-report: each status reply carries the replica's committed
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/invariants.h"
 #include "net/address.h"
 #include "net/frame.h"
 
@@ -109,12 +111,10 @@ bool AllocateLoopbackPorts(net::ClusterConfig* config, std::string* error);
 /// every child it spawned (SIGKILL on the error paths).
 ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options);
 
-/// The CheckSafety sweep over self-reported chains; exposed for tests.
-/// Returns true and fills heights when every invariant holds, else false
-/// with `violation` describing the first failure.
-bool SweepReportedSafety(const std::vector<NodeReport>& nodes,
-                         std::string* violation, int64_t* min_height,
-                         int64_t* max_height);
+/// The CheckSafety sweep (invariants.h's SweepChains) over self-reported
+/// chains; exposed for tests. A replica with no status, or no replica
+/// report at all, fails the sweep before it starts.
+SafetyReport SweepReportedSafety(const std::vector<NodeReport>& nodes);
 
 // Minimal JSON field extractors for the flat status documents the control
 // protocol emits (exposed for tests and prestige_cluster's reporting).

@@ -98,11 +98,13 @@ struct RunResult {
 using ServiceFactory = std::function<std::unique_ptr<app::Service>()>;
 
 /// Harvests metrics + safety from a finished cluster (wall-clock backends
-/// after Stop()). `duration` is the measurement window.
+/// after Stop()). `duration` is the measurement window; `byzantine` marks
+/// scripted adversaries the safety sweep excludes (BuildByzantineSet).
 template <typename Replica, typename Config, typename Backend>
 RunResult Harvest(Cluster<Replica, Config, Backend>& cluster,
                   const WorkloadOptions& workload,
-                  util::DurationMicros duration) {
+                  util::DurationMicros duration,
+                  const std::vector<bool>& byzantine = {}) {
   RunResult result;
   result.ran = true;
   result.duration_seconds = util::ToSeconds(duration);
@@ -150,7 +152,8 @@ RunResult Harvest(Cluster<Replica, Config, Backend>& cluster,
   }
 
   const shard::Router router(cluster.num_groups(), workload.router_salt);
-  const ShardedSafetyReport safety = CheckShardedSafety(cluster, router);
+  const ShardedSafetyReport safety =
+      CheckShardedSafety(cluster, router, byzantine);
   result.safety_ok = safety.ok;
   result.violation = safety.violation;
   result.routed_txs = safety.routed_txs;

@@ -3,8 +3,10 @@
 // The runner walks the spec's phases in virtual time: at each phase start
 // it applies the phase's partition / link faults / crashes / load settings,
 // runs the cluster for the phase's duration, then sweeps the cross-replica
-// safety invariants (invariants.h). A seed sweep repeats the whole run for
-// N consecutive seeds and aggregates the per-seed results.
+// safety invariants (invariants.h). After the last phase the run is
+// harvested once, by the same Harvest every backend uses (runner.h). A
+// seed sweep repeats the whole run for N consecutive seeds and aggregates
+// the per-seed results.
 //
 // Everything virtual-time here is deterministic: the same (spec, config,
 // workload.seed) triple reproduces byte-identical ScenarioSeedResults —
@@ -33,6 +35,7 @@
 #include "harness/adversary.h"
 #include "harness/cluster.h"
 #include "harness/invariants.h"
+#include "harness/runner.h"
 #include "harness/scenario.h"
 
 namespace prestige {
@@ -45,36 +48,26 @@ struct PhaseOutcome {
   util::TimeMicros end = 0;
   int64_t committed = 0;  ///< Client-observed commits during the phase.
   SafetyReport safety;
+
+  /// Client-observed throughput over the phase, tx/s.
+  double Tps() const {
+    return static_cast<double>(committed) /
+           util::ToSeconds(std::max<util::DurationMicros>(1, end - start));
+  }
 };
 
-/// All metrics of one (spec, seed) execution. Everything except `wall_ms`
-/// is a deterministic function of (spec, config, seed) — including `events`
+/// All metrics of one (spec, seed) execution: the harvested RunResult
+/// (Harvest, runner.h) plus the simulator's own counters, suppression
+/// metrics and the per-phase record. Everything except `wall_ms` is a
+/// deterministic function of (spec, config, seed) — including `events`
 /// and `hashes`, which count implementation work, not virtual-time
 /// behaviour, but are exactly reproducible. SeedResultJson() renders only
 /// the deterministic fields, so equal seeds produce byte-identical JSON.
-struct ScenarioSeedResult {
+struct ScenarioSeedResult : RunResult {
   uint64_t seed = 0;
   uint64_t events = 0;   ///< Simulator events executed (deterministic).
   uint64_t hashes = 0;   ///< SHA-256 computations performed (deterministic).
   double wall_ms = 0.0;  ///< Host wall-clock cost; NOT in SeedResultJson.
-  bool safety_ok = true;
-  std::string violation;
-  int64_t committed = 0;
-  double tps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  int64_t view_changes = 0;
-  int64_t elections_won = 0;
-  /// Client-observed reply entries matched to outstanding requests.
-  int64_t replies = 0;
-  /// Replica-side duplicate executions suppressed by session tables.
-  int64_t duplicate_suppressed = 0;
-  /// Conflicting result digests observed by clients (0 when honest).
-  int64_t result_mismatches = 0;
-  /// Exactly-once service executions summed over honest replicas.
-  int64_t executed = 0;
-  types::SeqNum min_height = 0;
-  types::SeqNum max_height = 0;
   uint64_t messages_sent = 0;
   uint64_t messages_dropped = 0;
   uint64_t messages_cut = 0;
@@ -251,9 +244,7 @@ ScenarioSeedResult RunScenarioSeed(const ScenarioSpec& spec, Config config,
   cluster.Start();
 
   ScenarioSeedResult result;
-  result.seed = workload.seed;
-  result.adversary_present = adversary_present;
-
+  std::string phase_violation;  // The first failing phase's.
   int64_t committed_at_phase_start = 0;
   for (const Phase& phase : spec.phases) {
     PhaseOutcome outcome;
@@ -266,23 +257,22 @@ ScenarioSeedResult RunScenarioSeed(const ScenarioSpec& spec, Config config,
     outcome.committed = committed_now - committed_at_phase_start;
     committed_at_phase_start = committed_now;
     outcome.safety = CheckSafety(cluster, byzantine);
-    if (!outcome.safety.ok && result.safety_ok) {
-      result.safety_ok = false;
-      result.violation = phase.name + ": " + outcome.safety.violation;
+    if (!outcome.safety.ok && phase_violation.empty()) {
+      phase_violation = phase.name + ": " + outcome.safety.violation;
     }
     result.phases.push_back(std::move(outcome));
   }
 
-  result.committed = cluster.ClientCommitted();
-  result.tps = static_cast<double>(result.committed) /
-               util::ToSeconds(std::max<util::DurationMicros>(
-                   1, spec.TotalDuration()));
-  result.p50_ms = cluster.LatencyPercentileMs(50);
-  result.p99_ms = cluster.LatencyPercentileMs(99);
-  for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
-    result.view_changes += cluster.replica(i).metrics().view_changes_started;
-    result.elections_won += cluster.replica(i).metrics().elections_won;
+  // The shared metrics and the final sweep come from the one harvest; a
+  // failing phase still wins the verdict.
+  static_cast<RunResult&>(result) =
+      Harvest(cluster, workload, spec.TotalDuration(), byzantine);
+  if (!phase_violation.empty()) {
+    result.safety_ok = false;
+    result.violation = phase_violation;
   }
+  result.seed = workload.seed;
+  result.adversary_present = adversary_present;
   if (adversary_present) {
     for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
       const auto& m = cluster.replica(i).metrics();
@@ -301,14 +291,6 @@ ScenarioSeedResult RunScenarioSeed(const ScenarioSpec& spec, Config config,
       result.final_rp.push_back(
           m.rp_history.empty() ? 0 : m.rp_history.back().rp);
     }
-  }
-  result.replies = cluster.RepliesReceived();
-  result.duplicate_suppressed = cluster.DuplicatesSuppressed();
-  result.result_mismatches = cluster.ResultMismatches();
-  result.executed = cluster.ExecutedTotal();
-  if (!result.phases.empty()) {
-    result.min_height = result.phases.back().safety.min_height;
-    result.max_height = result.phases.back().safety.max_height;
   }
   const sim::NetworkStats& net = cluster.network().stats();
   result.messages_sent = net.messages_sent;

@@ -3,7 +3,8 @@
 // live-loop hostile-datagram injection, and the cross-backend equivalence
 // run — the same fault-free scenario on the simulator, the threaded
 // runtime, and the socket runtime must all commit work and pass the same
-// safety sweep.
+// safety sweep — and the process cluster's sweep over self-reported
+// chains.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "core/messages.h"
 #include "core/replica.h"
 #include "harness/cluster.h"
+#include "harness/process_cluster.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
 #include "harness/scenario_runner.h"
@@ -358,6 +361,90 @@ void StartWithoutDescriptors() {
 TEST(SocketBackendTest, FailedBindRefusesToRunWithANodeMissing) {
   EXPECT_EXIT(RunWithoutDescriptors(), ::testing::ExitedWithCode(0), "");
   EXPECT_DEATH(StartWithoutDescriptors(), "socket backend setup failed");
+}
+
+/// A replica's status report: one 10-tx block per digest prefix, and a
+/// service that executed every one of them.
+harness::NodeReport ReportedReplica(uint32_t id,
+                                    const std::vector<std::string>& chain) {
+  harness::NodeReport node;
+  node.id = id;
+  node.responded = true;
+  for (size_t k = 0; k < chain.size(); ++k) {
+    node.chain.push_back({static_cast<int64_t>(k + 1), chain[k], 10});
+  }
+  node.executed = 10 * static_cast<int64_t>(chain.size());
+  node.state_digest = 0x1000 + chain.size();
+  return node;
+}
+
+/// Four agreeing replicas (one a block behind) and a client pool.
+std::vector<harness::NodeReport> AgreeingReports() {
+  const std::string a = "00000000000000aa", b = "00000000000000bb",
+                    c = "00000000000000cc";
+  std::vector<harness::NodeReport> nodes = {
+      ReportedReplica(0, {a, b, c}), ReportedReplica(1, {a, b, c}),
+      ReportedReplica(2, {a, b}), ReportedReplica(3, {a, b, c})};
+  harness::NodeReport pool;
+  pool.id = 4;
+  pool.is_replica = false;
+  pool.responded = true;
+  pool.completed = 30;
+  nodes.push_back(pool);
+  return nodes;
+}
+
+TEST(ReportedSafetyTest, SweepsSelfReportedChains) {
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<harness::NodeReport>*)> mutate;
+    bool ok;
+    const char* violation;  ///< Substring of the expected violation.
+  };
+  const std::vector<Case> cases = {
+      {"all agree", [](std::vector<harness::NodeReport>*) {}, true, ""},
+      {"conflicting digests at one height",
+       [](std::vector<harness::NodeReport>* nodes) {
+         (*nodes)[1].chain[1].digest_hex = "00000000000000ee";
+       },
+       false, "conflicting txBlocks at n=2"},
+      {"divergent state digest at equal heights",
+       [](std::vector<harness::NodeReport>* nodes) {
+         (*nodes)[3].state_digest ^= 1;
+       },
+       false, "divergent execution at height 3"},
+      {"executed + duplicates != chain txs",
+       [](std::vector<harness::NodeReport>* nodes) {
+         (*nodes)[2].executed = 18;
+         (*nodes)[2].duplicates = 1;
+       },
+       false, "execution count mismatch on replica 2"},
+      {"replica with no status",
+       [](std::vector<harness::NodeReport>* nodes) {
+         (*nodes)[2] = harness::NodeReport();
+         (*nodes)[2].id = 2;
+       },
+       false, "replica 2 reported no status"},
+      {"no replica reports",
+       [](std::vector<harness::NodeReport>* nodes) {
+         nodes->erase(nodes->begin(), nodes->begin() + 4);
+       },
+       false, "no replica reports"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<harness::NodeReport> nodes = AgreeingReports();
+    c.mutate(&nodes);
+    const harness::SafetyReport report = harness::SweepReportedSafety(nodes);
+    const std::string& violation = report.violation;
+    EXPECT_EQ(report.ok, c.ok) << violation;
+    if (c.ok) {
+      EXPECT_EQ(report.min_height, 2);
+      EXPECT_EQ(report.max_height, 3);
+    } else {
+      EXPECT_NE(violation.find(c.violation), std::string::npos) << violation;
+    }
+  }
 }
 
 }  // namespace
