@@ -67,7 +67,7 @@ bool DecodeFrameHeader(const uint8_t* data, size_t len, FrameHeader* out);
 struct FrameCounters {
   uint64_t frames_sent = 0;
   uint64_t bytes_sent = 0;
-  uint64_t send_errors = 0;       ///< sendto failures (incl. would-block).
+  uint64_t send_errors = 0;       ///< sendto failures, oversized messages.
   uint64_t frames_received = 0;
   uint64_t bytes_received = 0;
   uint64_t header_drops = 0;      ///< Short datagram / magic / version.
@@ -92,7 +92,7 @@ class FrameWriter {
 
   /// Splits `payload` into ready-to-send datagrams addressed to `dst`.
   /// Returns an empty vector when payload is empty or over
-  /// kMaxMessageBytes.
+  /// kMaxMessageBytes; SocketRuntime counts such a send in send_errors.
   std::vector<std::vector<uint8_t>> Split(uint32_t dst,
                                           const std::vector<uint8_t>& payload);
 

@@ -3,13 +3,19 @@
 // decode path treats its input as hostile.
 //
 // Design rules:
+//   * one field list per wire type — wire.cc lists each message's and each
+//     component's fields once, in wire order, and both EncodeMessage and
+//     DecodeMessage walk that list, so the two directions cannot drift;
+//   * a bound lives where its field is listed: a vector's element type
+//     carries its count cap (kMax... constants below) and its minimum
+//     element size, and an enum or range-checked integer names its bound
+//     in the field list itself;
 //   * bounds-checked reads only — a net::Reader carries an ok() flag that
 //     latches false on the first out-of-range read and poisons every
 //     subsequent accessor, so decoders never branch on uninitialised data;
-//   * every length prefix is validated against both a per-field cap
-//     (kMax... constants below) and the bytes actually remaining, so a
-//     hostile count can neither overflow a vector reserve nor force a
-//     multi-gigabyte allocation;
+//   * every length prefix is validated against both its cap and the bytes
+//     actually remaining, so a hostile count can neither overflow a vector
+//     reserve nor force a multi-gigabyte allocation;
 //   * DecodeMessage returns nullptr on any malformation (unknown kind,
 //     truncation, oversized field, trailing bytes) — the caller counts the
 //     drop; partial objects are never visible to protocol code;
@@ -39,12 +45,10 @@ namespace net {
 // Hostile-input caps. Generous relative to every real workload (batches top
 // out in the low thousands), tight relative to memory exhaustion.
 constexpr uint64_t kMaxWireTxs = 1 << 16;       ///< Txs per batch / block.
-constexpr uint64_t kMaxWireCommand = 1 << 20;   ///< Command bytes per tx.
+constexpr uint64_t kMaxWireBytes = 1 << 20;     ///< Bytes per byte string.
 constexpr uint64_t kMaxWirePartials = 1 << 12;  ///< Signatures per QC.
-constexpr uint64_t kMaxWireStatus = 1 << 20;    ///< Status bytes per block.
 constexpr uint64_t kMaxWireBlocks = 1 << 13;    ///< Blocks per SyncResp.
 constexpr uint64_t kMaxWireEntries = 1 << 16;   ///< Entries per ClientReply.
-constexpr uint64_t kMaxWireResult = 1 << 20;    ///< Result bytes per entry.
 constexpr uint64_t kMaxWireMapEntries = 1 << 12;  ///< rp/ci map entries.
 constexpr uint64_t kMaxWireNoise = 1 << 20;     ///< Modelled noise bytes.
 

@@ -140,7 +140,14 @@ void SocketRuntime::Transmit(Slot* slot, NodeId to, const MessagePtr& msg) {
   // Every copy — self-sends and co-hosted destinations included — goes
   // through the kernel, so one process per node and n nodes per process
   // exercise the identical transport path.
-  for (const std::vector<uint8_t>& frame : from->writer.Split(to, payload)) {
+  const std::vector<std::vector<uint8_t>> frames =
+      from->writer.Split(to, payload);
+  if (frames.empty()) {
+    // Over net::kMaxMessageBytes: the framing refuses it.
+    ++from->send_counters.send_errors;
+    return;
+  }
+  for (const std::vector<uint8_t>& frame : frames) {
     if (from->socket.SendTo(peer->second, frame.data(), frame.size())) {
       ++from->send_counters.frames_sent;
       from->send_counters.bytes_sent += frame.size();

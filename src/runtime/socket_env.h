@@ -22,6 +22,9 @@
 //     carries a closure) fall back to the local mailbox when the
 //     destination node lives in this runtime, and are counted and dropped
 //     otherwise — such messages are harness-internal by construction;
+//   * a message whose encoding exceeds net::kMaxMessageBytes cannot be
+//     framed; it is dropped and counted in send_errors, like a failed
+//     sendto;
 //   * per-node RNG streams derived from (seed, node id) alone, so every
 //     process of a deployment derives the same stream for a given node
 //     without coordinating registration order.

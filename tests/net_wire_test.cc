@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "baselines/hotstuff/hotstuff_replica.h"
 #include "baselines/sbft/sbft_replica.h"
 #include "core/messages.h"
+#include "crypto/sha256.h"
 #include "net/address.h"
 #include "net/frame.h"
 #include "net/wire.h"
@@ -92,9 +94,9 @@ ledger::VcBlock SampleVcBlock() {
   return b;
 }
 
-/// One instance of every message family the codec carries, exercising
-/// every component serializer (tx, tx vector, block, vc block, QC, sig,
-/// reply entries, enums).
+/// One instance of every one of the 29 message kinds the codec carries,
+/// exercising every component serializer (tx, tx vector, block, vc block,
+/// QC, sig, reply entries, enums), plus a NoiseMsg above its wire cap.
 std::vector<runtime::MessagePtr> SampleMessages() {
   std::vector<runtime::MessagePtr> out;
 
@@ -195,6 +197,109 @@ std::vector<runtime::MessagePtr> SampleMessages() {
   sb->crypto_weight = 8;
   out.push_back(sb);
 
+  auto ord_reply = std::make_shared<core::OrdReplyMsg>();
+  ord_reply->v = 3;
+  ord_reply->n = 17;
+  ord_reply->partial = SampleSig(2);
+  out.push_back(ord_reply);
+
+  auto cmt_reply = std::make_shared<core::CmtReplyMsg>();
+  cmt_reply->v = 3;
+  cmt_reply->n = 18;
+  cmt_reply->partial = SampleSig(3);
+  out.push_back(cmt_reply);
+
+  auto tx_block = std::make_shared<core::TxBlockMsg>();
+  tx_block->block = SampleBlock(4);
+  out.push_back(tx_block);
+
+  auto relay = std::make_shared<core::ComptRelayMsg>();
+  relay->tx = SampleTx(1, 5);
+  relay->sig = SampleSig(1);
+  out.push_back(relay);
+
+  auto revc = std::make_shared<core::ReVcMsg>();
+  revc->v = 12;
+  revc->partial = SampleSig(2);
+  out.push_back(revc);
+
+  auto vote = std::make_shared<core::VoteCpMsg>();
+  vote->v_new = 6;
+  vote->candidate = 2;
+  vote->partial = SampleSig(0);
+  out.push_back(vote);
+
+  auto vc_yes = std::make_shared<core::VcYesMsg>();
+  vc_yes->v = 9;
+  vc_yes->latest_n = 21;
+  vc_yes->partial = SampleSig(3);
+  out.push_back(vc_yes);
+
+  auto ref = std::make_shared<core::RefMsg>();
+  ref->v = 10;
+  ref->sig = SampleSig(1);
+  out.push_back(ref);
+
+  auto ref_reply = std::make_shared<core::RefReplyMsg>();
+  ref_reply->target = 3;
+  ref_reply->v = 10;
+  ref_reply->partial = SampleSig(2);
+  out.push_back(ref_reply);
+
+  auto rdone = std::make_shared<core::RdoneMsg>();
+  rdone->target = 3;
+  rdone->v = 10;
+  rdone->rs_qc = SampleQc();
+  rdone->sig = SampleSig(0);
+  out.push_back(rdone);
+
+  auto heartbeat = std::make_shared<core::HeartbeatMsg>();
+  heartbeat->v = 5;
+  heartbeat->latest_n = 30;
+  heartbeat->sig = SampleSig(1);
+  out.push_back(heartbeat);
+
+  // Above its cap: the encoder clamps the modelled size to kMaxWireNoise.
+  auto big_noise = std::make_shared<core::NoiseMsg>();
+  big_noise->bytes = kMaxWireNoise + 7;
+  out.push_back(big_noise);
+
+  auto hs_proposal = std::make_shared<baselines::hotstuff::HsProposalMsg>();
+  hs_proposal->v = 2;
+  hs_proposal->block = SampleBlock(6);
+  hs_proposal->sig = SampleSig(0);
+  out.push_back(hs_proposal);
+
+  auto hs_vote = std::make_shared<baselines::hotstuff::HsVoteMsg>();
+  hs_vote->v = 2;
+  hs_vote->phase = baselines::hotstuff::HsPhase::kDecide;
+  hs_vote->n = 6;
+  hs_vote->block_digest = SampleQc().digest;
+  hs_vote->partial = SampleSig(3);
+  out.push_back(hs_vote);
+
+  auto hs_new_view = std::make_shared<baselines::hotstuff::HsNewViewMsg>();
+  hs_new_view->v = 3;
+  hs_new_view->latest_n = 6;
+  hs_new_view->sig = SampleSig(2);
+  out.push_back(hs_new_view);
+
+  auto sb_share = std::make_shared<baselines::sbft::SbShareMsg>();
+  sb_share->stage = baselines::sbft::SbShareMsg::Stage::kExecute;
+  sb_share->v = 1;
+  sb_share->n = 3;
+  sb_share->partial = SampleSig(1);
+  out.push_back(sb_share);
+
+  auto sb_proof = std::make_shared<baselines::sbft::SbProofMsg>();
+  sb_proof->stage = baselines::sbft::SbProofMsg::Stage::kExecute;
+  sb_proof->v = 1;
+  sb_proof->n = 3;
+  sb_proof->block_digest = SampleQc().digest;
+  sb_proof->proof = SampleQc();
+  sb_proof->sig = SampleSig(2);
+  out.push_back(sb_proof);
+
   return out;
 }
 
@@ -217,6 +322,60 @@ TEST(WireCodecTest, DecodeThenReencodeIsByteIdentical) {
     EXPECT_STREQ(decoded->Name(), msg->Name());
     EXPECT_EQ(Encode(*decoded), bytes);
   }
+}
+
+TEST(WireCodecTest, EncodingIsPinned) {
+  // The wire bytes of every sample are frozen: a codec refactor that
+  // reorders, resizes or drops a field changes a length or a hash here.
+  struct Pin {
+    size_t length;
+    const char* sha256;
+  };
+  const Pin pins[] = {
+    {177, "a32398d08d91f4fd25a3c3a94a7dd72337a400d2e1ce208c2f3f48b8964cd163"},
+    {233, "be876946993736c9ef1b6be575ff26fd56b0637032fb42b829280c0697c6b711"},
+    {723, "b23cc905274df76b881b450bfa6aa0e9ba14efab4c1370017952ddce95b84b34"},
+    {90, "919dc94c840d2a45a6e274f616b637a4e97684039e20604b0b1180e268be3651"},
+    {393, "87f11c252f7de46765f8887c572a3847c3df87b0351f4c33685971f62118da08"},
+    {18, "db382288ffc010628da087e5579342d4f986122e2b111dce96c2e4409f90973a"},
+    {1285, "64e55440cb0c0f48084c0e0b645e8098eea0c1ef53f7f8a495bf2762f9bca102"},
+    {5, "8868b005fde06eb73ea1db5de338364fcad1feeaf1cef934439a662798a6a0fd"},
+    {137, "13ba6ed10217c093230e21b4121e027482976ba5736b1e82d23e818f377220ea"},
+    {74, "a6fe141406609f6f5877e3a9dd93a53a314633bdf1fa9a5ce2da1f37bdcae2a7"},
+    {45, "80218a28706d01f3a37abcd2987c07cc1a33bf936453b7fe794951da7526e87d"},
+    {234, "9a379667eb4d04ebeccdd2d8cb1d9010dbfe31dd1132ea53b283df0dc418b8cc"},
+    {495, "64a5e4d411c9563fb92c50eefcbf9ed4f406d7c51c985bbcb6063286fbb24d04"},
+    {53, "48e65817957804761a40d612c889f6c4b0b08d3fbbe87601cf6073c9b0288529"},
+    {53, "9a47a6b6bf23b308d5f3868017a46df87405fca00d9519f670dbe65188de3fdb"},
+    {443, "887e620a1cd709c97a9ab9ef9a11758c3492b7e776969fac704e1bad17303982"},
+    {81, "016f8f7ae25ebd11929d59c5d7161fb614ce95847cf8478fd23d391cd1c39387"},
+    {45, "b133a7a370f8d3dec305d1c27aed2c53fbab5a74af7d46eef738734e13383eff"},
+    {49, "5cfc308a839c43f9b8aaf7b6d14e73543e1440c3f8aeed21c9a7a956e1a6a5cc"},
+    {53, "162d6ef3de2ce7faf2286db0f7864ae64bfc1ac1a02ff787bd5f995c5d3f3878"},
+    {45, "ea6c49ae8172c771dad4ec84e06c9a5af42d1cbce38c2dba01b5bbfcf324450b"},
+    {49, "01bc324e8cef459b6a3ddde64da40ad28114be7d6f387988217da358302c87ca"},
+    {197, "6d1890851d4a7ae555ef33c2e6a1c2a0df2c8971fbdd532f8d7da90d62edc92e"},
+    {53, "bd5abe2d2a58fac272f7c18237b2d9a083d56a021cefaadb457a07a3150baf09"},
+    {5, "d14f73e1a8af483d08005d1376b1aee0612c2f48670b995acf758cb5a75fd168"},
+    {487, "b158255475f9d471c05780a28bd225c7bd164e5cf20047b55d0a33d6970b02a7"},
+    {86, "fbe8a367f78f7b4b9000efb7fe253f0bbea5efdda13f941b94029c30dbc6e76c"},
+    {53, "0bb6a8940fb0c0f07249716a0602ba961dc76aa4e7b75ffd6dcc0621af48430e"},
+    {54, "bab414cbdf2eed1816055da0e9a2041efb72fe5224e6ebe8b4388aa4a82b606f"},
+    {234, "02ad020d0443b399669017160d5f891e407304c461fa11cb8d6c8859b2ac31a0"},
+  };
+  const std::vector<runtime::MessagePtr> samples = SampleMessages();
+  ASSERT_EQ(samples.size(), sizeof(pins) / sizeof(pins[0]));
+  std::set<uint8_t> kinds;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE(samples[i]->Name());
+    const std::vector<uint8_t> bytes = Encode(*samples[i]);
+    ASSERT_FALSE(bytes.empty());
+    kinds.insert(bytes[0]);
+    EXPECT_EQ(bytes.size(), pins[i].length);
+    EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(bytes)),
+              pins[i].sha256);
+  }
+  EXPECT_EQ(kinds.size(), 29u) << "every MsgKind has a sample";
 }
 
 // ------------------------------------------------------------- adversarial

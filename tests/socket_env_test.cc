@@ -1,10 +1,10 @@
 // Tests for the socket backend: SocketRuntime primitives (real loopback
-// UDP transport, timers, local fallback for unserializable messages),
-// live-loop hostile-datagram injection, and the cross-backend equivalence
-// run — the same fault-free scenario on the simulator, the threaded
-// runtime, and the socket runtime must all commit work and pass the same
-// safety sweep — and the process cluster's sweep over self-reported
-// chains.
+// UDP transport, timers, local fallback for unserializable messages, an
+// oversized send counted as a send error), live-loop hostile-datagram
+// injection, and the cross-backend equivalence run — the same fault-free
+// scenario on the simulator, the threaded runtime, and the socket runtime
+// must all commit work and pass the same safety sweep — and the process
+// cluster's sweep over self-reported chains.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/messages.h"
@@ -29,6 +30,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/socket_env.h"
+#include "types/client_messages.h"
 
 namespace prestige {
 namespace runtime {
@@ -196,6 +198,51 @@ TEST(SocketRuntimeTest, DuplicateIdAndUnknownPeerAreHandled) {
   EXPECT_FALSE(error.empty());
   EXPECT_TRUE(runtime.local_addr(3).valid());
   EXPECT_FALSE(runtime.local_addr(99).valid());
+}
+
+/// Sends one message whose encoding is over net::kMaxMessageBytes, then a
+/// 1-byte NoiseMsg the peer can receive.
+class OversizedSenderNode : public Node {
+ public:
+  explicit OversizedSenderNode(NodeId peer) : peer_(peer) {}
+  void OnStart() override {
+    auto batch = std::make_shared<types::ClientBatch>();
+    for (uint64_t i = 0; i < 40; ++i) {
+      types::Transaction tx;
+      tx.client_seq = i;
+      tx.command.assign(1 << 20, 0x5a);
+      batch->txs.push_back(std::move(tx));
+    }
+    Send(peer_, batch);
+    auto noise = std::make_shared<core::NoiseMsg>();
+    noise->bytes = 1;
+    Send(peer_, noise);
+  }
+  void OnMessage(NodeId, const MessagePtr&) override {}
+
+ private:
+  NodeId peer_;
+};
+
+TEST(SocketRuntimeTest, OversizedMessageIsACountedSendError) {
+  SocketRuntime runtime(1);
+  UdpPongNode receiver(1);
+  OversizedSenderNode sender(/*peer=*/0);
+  std::string error;
+  ASSERT_TRUE(runtime.AddNode(&receiver, 0, harness::LoopbackAny(), &error));
+  ASSERT_TRUE(runtime.AddNode(&sender, 1, harness::LoopbackAny(), &error));
+  runtime.Start();
+  // The NoiseMsg is sent after the oversized batch, so once it arrives the
+  // batch's send has been accounted for.
+  EXPECT_TRUE(SpinUntil([&] { return receiver.hops() >= 1; }, 5000));
+  runtime.Stop();
+
+  const net::FrameCounters sent = runtime.node_net_stats(1);
+  EXPECT_EQ(sent.send_errors, 1u);
+  EXPECT_EQ(sent.unserializable_drops, 0u);
+  const net::FrameCounters received = runtime.node_net_stats(0);
+  EXPECT_EQ(received.length_drops, 0u);
+  EXPECT_EQ(received.decode_drops, 0u);
 }
 
 // ----------------------------------------------- live hostile datagrams
