@@ -14,6 +14,7 @@
 #include "baselines/prosecutor/prosecutor.h"
 #include "baselines/sbft/sbft_replica.h"
 #include "core/replica.h"
+#include "crypto/sha256.h"
 #include "harness/cluster.h"
 #include "harness/scenario_runner.h"
 
@@ -69,9 +70,12 @@ inline bool SanitizedBuild() {
 
 /// Build-provenance JSON object stamped into every BENCH_*.json:
 ///   {"sanitizers": "tsan", "build_type": "RelWithDebInfo",
-///    "werror": false, "sanitized": true}
+///    "werror": false, "sanitized": true, "sha256": "sha-ni"}
 /// The CMake cache supplies the macro values (see the BENCH metadata block
-/// in CMakeLists.txt).
+/// in CMakeLists.txt). "sha256" is the SHA-256 kernel this host runs
+/// ("sha-ni" or "portable"): hashing is a large share of replica CPU, so
+/// numbers from a host without SHA-NI are not comparable with ones from a
+/// host with it.
 inline std::string BuildMetadataJson() {
   std::string json = "{\"sanitizers\": \"";
   json += PRESTIGE_BUILD_SANITIZERS;
@@ -81,7 +85,9 @@ inline std::string BuildMetadataJson() {
   json += PRESTIGE_BUILD_WERROR ? "true" : "false";
   json += ", \"sanitized\": ";
   json += SanitizedBuild() ? "true" : "false";
-  json += "}";
+  json += ", \"sha256\": \"";
+  json += crypto::Sha256::KernelName();
+  json += "\"}";
   return json;
 }
 

@@ -1,8 +1,15 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/sha256_kernel.h"
 #include "util/hex.h"
+
+#if PRESTIGE_SHA256_SHANI
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace prestige {
 namespace crypto {
@@ -74,6 +81,14 @@ inline uint32_t LoadBe32(const uint8_t* p) {
 thread_local uint64_t t_total_finished = 0;
 thread_local CryptoMeter* t_active_meter = nullptr;
 
+/// The kernel choice, probed once per process on first use. A function-local
+/// static, so a hash taken during static initialisation probes too and
+/// never reads an unset flag.
+bool UseShaNi() {
+  static const bool use = internal::ShaNiSupported();
+  return use;
+}
+
 }  // namespace
 
 ScopedCryptoMeter::ScopedCryptoMeter(CryptoMeter* meter)
@@ -89,18 +104,22 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadBe32(block + i * 4);
-  }
-  for (int i = 16; i < 64; ++i) {
-    w[i] = w[i - 16] + SmallSigma0(w[i - 15]) + w[i - 7] +
-           SmallSigma1(w[i - 2]);
-  }
+namespace internal {
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* data,
+                            size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = LoadBe32(data + i * 4);
+    }
+    for (int i = 16; i < 64; ++i) {
+      w[i] = w[i - 16] + SmallSigma0(w[i - 15]) + w[i - 7] +
+             SmallSigma1(w[i - 2]);
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
 // One compression round with the working variables already permuted, so the
 // eight-way unrolled loop below needs no register rotation at the end of
@@ -114,27 +133,142 @@ void Sha256::ProcessBlock(const uint8_t block[64]) {
     h = t1 + t2;                                                          \
   } while (0)
 
-  for (int i = 0; i < 64; i += 8) {
-    PRESTIGE_SHA256_ROUND(a, b, c, d, e, f, g, h, i + 0);
-    PRESTIGE_SHA256_ROUND(h, a, b, c, d, e, f, g, i + 1);
-    PRESTIGE_SHA256_ROUND(g, h, a, b, c, d, e, f, i + 2);
-    PRESTIGE_SHA256_ROUND(f, g, h, a, b, c, d, e, i + 3);
-    PRESTIGE_SHA256_ROUND(e, f, g, h, a, b, c, d, i + 4);
-    PRESTIGE_SHA256_ROUND(d, e, f, g, h, a, b, c, i + 5);
-    PRESTIGE_SHA256_ROUND(c, d, e, f, g, h, a, b, i + 6);
-    PRESTIGE_SHA256_ROUND(b, c, d, e, f, g, h, a, i + 7);
-  }
+    for (int i = 0; i < 64; i += 8) {
+      PRESTIGE_SHA256_ROUND(a, b, c, d, e, f, g, h, i + 0);
+      PRESTIGE_SHA256_ROUND(h, a, b, c, d, e, f, g, i + 1);
+      PRESTIGE_SHA256_ROUND(g, h, a, b, c, d, e, f, i + 2);
+      PRESTIGE_SHA256_ROUND(f, g, h, a, b, c, d, e, i + 3);
+      PRESTIGE_SHA256_ROUND(e, f, g, h, a, b, c, d, i + 4);
+      PRESTIGE_SHA256_ROUND(d, e, f, g, h, a, b, c, i + 5);
+      PRESTIGE_SHA256_ROUND(c, d, e, f, g, h, a, b, i + 6);
+      PRESTIGE_SHA256_ROUND(b, c, d, e, f, g, h, a, i + 7);
+    }
 
 #undef PRESTIGE_SHA256_ROUND
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if PRESTIGE_SHA256_SHANI
+
+#define PRESTIGE_SHANI_TARGET __attribute__((target("sha,sse4.1")))
+
+// The SHA extensions keep the working variables as two vectors, ABEF and
+// CDGH, and message words four to a vector (W[4q..4q+3] for quad-round q).
+
+/// Four rounds: two sha256rnds2, each taking two words of `w` + K.
+PRESTIGE_SHANI_TARGET inline void QuadRound(__m128i& abef, __m128i& cdgh,
+                                            __m128i w, int q) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(
+             reinterpret_cast<const __m128i*>(&kRoundConstants[4 * q])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+/// W[4q..4q+3] from the four previous quads: w16 = W[4q-16..], w12 =
+/// W[4q-12..], w8 = W[4q-8..], w4 = W[4q-4..]. msg1 adds sigma0, the
+/// alignr supplies W[t-7], msg2 adds sigma1.
+PRESTIGE_SHANI_TARGET inline __m128i NextQuad(__m128i w16, __m128i w12,
+                                              __m128i w8, __m128i w4) {
+  const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12),
+                                        _mm_alignr_epi8(w4, w8, 4));
+  return _mm_sha256msg2_epu32(partial, w4);
+}
+
+PRESTIGE_SHANI_TARGET void Sha256CompressShaNi(uint32_t state[8],
+                                               const uint8_t* data,
+                                               size_t blocks) {
+  // Byte order within each 32-bit word: the message is big-endian.
+  const __m128i kBswap32 =
+      _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
+
+  // state[0..7] = A..H  ->  abef = {F, E, B, A}, cdgh = {H, G, D, C}
+  // (lane 0 first), the layout sha256rnds2 expects.
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const __m128i* in = reinterpret_cast<const __m128i*>(data);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), kBswap32);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), kBswap32);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), kBswap32);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), kBswap32);
+    QuadRound(abef, cdgh, w0, 0);
+    QuadRound(abef, cdgh, w1, 1);
+    QuadRound(abef, cdgh, w2, 2);
+    QuadRound(abef, cdgh, w3, 3);
+    for (int q = 4; q < 16; q += 4) {
+      w0 = NextQuad(w0, w1, w2, w3);
+      QuadRound(abef, cdgh, w0, q);
+      w1 = NextQuad(w1, w2, w3, w0);
+      QuadRound(abef, cdgh, w1, q + 1);
+      w2 = NextQuad(w2, w3, w0, w1);
+      QuadRound(abef, cdgh, w2, q + 2);
+      w3 = NextQuad(w3, w0, w1, w2);
+      QuadRound(abef, cdgh, w3, q + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#undef PRESTIGE_SHANI_TARGET
+
+#endif  // PRESTIGE_SHA256_SHANI
+
+bool ShaNiSupported() {
+#if PRESTIGE_SHA256_SHANI
+  constexpr unsigned int kSsse3 = 1u << 9;   // CPUID.1:ECX
+  constexpr unsigned int kSse41 = 1u << 19;  // CPUID.1:ECX
+  constexpr unsigned int kSha = 1u << 29;    // CPUID.(7,0):EBX
+  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & (kSsse3 | kSse41)) != (kSsse3 | kSse41)) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & kSha) != 0;
+#else
+  return false;
+#endif
+}
+
+}  // namespace internal
+
+const char* Sha256::KernelName() {
+  return UseShaNi() ? "sha-ni" : "portable";
+}
+
+void Sha256::Compress(const uint8_t* data, size_t blocks) {
+#if PRESTIGE_SHA256_SHANI
+  if (UseShaNi()) {
+    internal::Sha256CompressShaNi(state_, data, blocks);
+    return;
+  }
+#endif
+  internal::Sha256CompressPortable(state_, data, blocks);
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
@@ -143,22 +277,27 @@ void Sha256::Update(const uint8_t* data, size_t len) {
   // any pointer arithmetic or memcpy sees the null.
   if (len == 0) return;
   bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= 64) {
-      ProcessBlock(data);
-      data += 64;
-      len -= 64;
-      continue;
-    }
+  if (buffer_len_ > 0) {
     const size_t take = std::min(len, 64 - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
+    if (buffer_len_ < 64) return;
+    Compress(buffer_, 1);
+    buffer_len_ = 0;
     data += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+  }
+  // Whole blocks go straight from the input, as one run, so a kernel can
+  // keep its state in registers across them.
+  const size_t blocks = len / 64;
+  if (blocks > 0) {
+    Compress(data, blocks);
+    data += blocks * 64;
+    len -= blocks * 64;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_, data, len);
+    buffer_len_ = len;
   }
 }
 
@@ -175,14 +314,14 @@ Sha256Digest Sha256::Finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
-    ProcessBlock(buffer_);
+    Compress(buffer_, 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(total_bits >> (56 - i * 8));
   }
-  ProcessBlock(buffer_);
+  Compress(buffer_, 1);
   buffer_len_ = 0;
 
   Sha256Digest out;

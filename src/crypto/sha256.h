@@ -3,6 +3,14 @@
 // Used for block digests, HMAC-SHA256 (simulated signatures), and the
 // view-change proof-of-work puzzle (§4.2.2 of the paper). Verified against
 // NIST known-answer test vectors in tests/crypto_test.cc.
+//
+// Two compression kernels sit behind this class and give identical output:
+// a portable one, and one on the x86 SHA extensions (SHA-NI). The first
+// hash in a process reads CPUID once and picks SHA-NI when the CPU has it
+// (KernelName() says which); there is no switch. Both kernels live in the
+// private sha256_kernel.h, and tests/crypto_test.cc (Sha256KernelTest)
+// runs both on every length from 0 to 1100 bytes and compares them, so the
+// portable kernel stays tested on SHA-NI hosts too.
 
 #ifndef PRESTIGE_CRYPTO_SHA256_H_
 #define PRESTIGE_CRYPTO_SHA256_H_
@@ -79,6 +87,10 @@ class Sha256 {
   /// tests/parallel_sweep_test.cc).
   static uint64_t TotalFinished();
 
+  /// The compression kernel this process runs: "sha-ni" or "portable".
+  /// Recorded in benchmark provenance, since hashing speed differs ~3x.
+  static const char* KernelName();
+
   /// One-shot convenience.
   static Sha256Digest Hash(const uint8_t* data, size_t len);
   static Sha256Digest Hash(const std::vector<uint8_t>& data) {
@@ -89,7 +101,8 @@ class Sha256 {
   }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
+  /// Folds `blocks` whole 64-byte blocks at `data` into state_.
+  void Compress(const uint8_t* data, size_t blocks);
 
   uint32_t state_[8];
   uint64_t bit_count_;

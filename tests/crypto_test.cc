@@ -1,16 +1,21 @@
-// Unit tests for src/crypto: SHA-256 (NIST KATs), HMAC-SHA256 (RFC 4231),
-// simulated PKI signatures, quorum certificates, and the PoW puzzle.
+// Unit tests for src/crypto: SHA-256 (NIST KATs, both compression
+// kernels), HMAC-SHA256 (RFC 4231), simulated PKI signatures, quorum
+// certificates, and the PoW puzzle.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "crypto/pow.h"
 #include "crypto/quorum_cert.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernel.h"
 #include "util/hex.h"
+#include "util/random.h"
 
 namespace prestige {
 namespace crypto {
@@ -86,6 +91,85 @@ TEST(Sha256Test, LeadingZeroBitsCount) {
   d[0] = 0x00;
   d[1] = 0x10;
   EXPECT_EQ(CountLeadingZeroBits(d), 11);
+}
+
+// ------------------------------------------------------- SHA-256 kernels
+//
+// Sha256 runs one of two compression kernels (crypto/sha256_kernel.h). On a
+// SHA-NI host the vectors above reach only the SHA-NI kernel, so this suite
+// runs both kernels directly on the same padded messages.
+
+std::vector<uint8_t> RandomMessage(util::Rng& rng, size_t len) {
+  std::vector<uint8_t> msg(len);
+  for (uint8_t& b : msg) b = static_cast<uint8_t>(rng.NextUint64());
+  return msg;
+}
+
+#if PRESTIGE_SHA256_SHANI
+
+using KernelState = std::array<uint32_t, 8>;
+using Kernel = void (*)(uint32_t*, const uint8_t*, size_t);
+
+/// `msg` with FIPS 180-4 padding: 0x80, zeros to 56 mod 64, then the
+/// message length in bits, big-endian.
+std::vector<uint8_t> Pad(std::vector<uint8_t> msg) {
+  const uint64_t bits = static_cast<uint64_t>(msg.size()) * 8;
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) msg.push_back(0);
+  for (int i = 7; i >= 0; --i) {
+    msg.push_back(static_cast<uint8_t>(bits >> (i * 8)));
+  }
+  return msg;
+}
+
+KernelState RunKernel(Kernel kernel, const std::vector<uint8_t>& padded) {
+  KernelState state = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+                       0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  kernel(state.data(), padded.data(), padded.size() / 64);
+  return state;
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortable) {
+  if (!internal::ShaNiSupported()) {
+    GTEST_SKIP() << "this CPU lacks the SHA extensions or SSE4.1 (CPUID), "
+                    "so only the portable kernel can run here";
+  }
+  util::Rng rng(2025);
+  for (size_t len = 0; len <= 1100; ++len) {
+    // Up to 18 blocks per call: multi-block runs, not just one block.
+    const std::vector<uint8_t> padded = Pad(RandomMessage(rng, len));
+    EXPECT_EQ(RunKernel(internal::Sha256CompressShaNi, padded),
+              RunKernel(internal::Sha256CompressPortable, padded))
+        << "len=" << len;
+  }
+}
+
+#else
+
+TEST(Sha256KernelTest, ShaNiMatchesPortable) {
+  GTEST_SKIP() << "the SHA-NI kernel is x86-only and not built for this "
+                  "target";
+}
+
+#endif  // PRESTIGE_SHA256_SHANI
+
+TEST(Sha256KernelTest, KernelNameFollowsCpuid) {
+  EXPECT_STREQ(Sha256::KernelName(),
+               internal::ShaNiSupported() ? "sha-ni" : "portable");
+}
+
+TEST(Sha256KernelTest, SplitUpdateMatchesOneShot) {
+  // Every split of a 200-byte input: buffered heads, whole-block runs
+  // straight from the input, and buffered tails.
+  util::Rng rng(2026);
+  const std::vector<uint8_t> msg = RandomMessage(rng, 200);
+  const Sha256Digest want = Sha256::Hash(msg);
+  for (size_t split = 0; split <= msg.size(); ++split) {
+    Sha256 h;
+    h.Update(msg.data(), split);
+    h.Update(msg.data() + split, msg.size() - split);
+    EXPECT_EQ(h.Finish(), want) << "split=" << split;
+  }
 }
 
 // ------------------------------------------------------------------ HMAC
