@@ -33,77 +33,10 @@ crypto::Sha256Digest HsVoteDigest(HsPhase phase, types::View v,
 HotStuffReplica::HotStuffReplica(HotStuffConfig config, types::ReplicaId id,
                                  const crypto::KeyStore* keys,
                                  types::FaultSpec fault)
-    : config_(config),
-      id_(id),
-      keys_(keys),
-      signer_(keys, id),
-      fault_(fault),
-      delivery_(id) {}
-
-void HotStuffReplica::SetTopology(std::vector<runtime::NodeId> replicas,
-                                  std::vector<runtime::NodeId> clients) {
-  replicas_ = std::move(replicas);
-  clients_ = std::move(clients);
-}
-
-void HotStuffReplica::SetService(std::unique_ptr<app::Service> service) {
-  delivery_.SetService(std::move(service));
-}
-
-uint64_t HotStuffReplica::TxKey(const types::Transaction& tx) {
-  return static_cast<uint64_t>(tx.pool) * 0x9e3779b97f4a7c15ULL ^
-         tx.client_seq * 0xc2b2ae3d27d4eb4fULL;
-}
-
-std::vector<runtime::NodeId> HotStuffReplica::PeerActors() const {
-  std::vector<runtime::NodeId> peers;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (static_cast<types::ReplicaId>(i) != id_) peers.push_back(replicas_[i]);
-  }
-  return peers;
-}
-
-bool HotStuffReplica::QuietActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kQuiet) return true;
-  if (fault_.type == types::FaultType::kRepeatedVc && IsLeader() &&
-      fault_.as_leader == types::LeaderMisbehaviour::kQuiet) {
-    return true;
-  }
-  return false;
-}
-
-bool HotStuffReplica::EquivocateActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kEquivocate) return true;
-  if (fault_.type == types::FaultType::kRepeatedVc && IsLeader() &&
-      fault_.as_leader == types::LeaderMisbehaviour::kEquivocate) {
-    return true;
-  }
-  return false;
-}
-
-void HotStuffReplica::GuardedSend(runtime::NodeId to, runtime::MessagePtr msg) {
-  if (QuietActive()) return;
-  Send(to, std::move(msg));
-}
-
-void HotStuffReplica::GuardedSend(const std::vector<runtime::NodeId>& to,
-                                  runtime::MessagePtr msg) {
-  if (QuietActive()) return;
-  Send(to, std::move(msg));
-}
-
-crypto::Signature HotStuffReplica::SignMaybeCorrupt(
-    const crypto::Sha256Digest& digest) {
-  crypto::Signature sig = signer_.Sign(digest);
-  if (EquivocateActive()) sig.mac[0] ^= 0xff;
-  return sig;
-}
+    : ReplicaBase(id, keys, fault, config.batch_size), config_(config) {}
 
 void HotStuffReplica::OnStart() {
   view_ = 1;
-  have_newview_quorum_ = true;  // View 1 starts by convention.
   if (IsLeader()) {
     ++metrics_.views_led;
     metrics_.last_led_at = Now();
@@ -128,10 +61,7 @@ void HotStuffReplica::ArmViewTimer() {
 }
 
 void HotStuffReplica::OnTimer(uint64_t tag) {
-  if (fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-      Now() >= fault_.start_at) {
-    return;
-  }
+  if (CrashedNow()) return;
   switch (TagKind(tag)) {
     case kViewTimer:
       view_timer_ = 0;
@@ -194,13 +124,6 @@ void HotStuffReplica::EnterView(types::View v, bool failed) {
   }
 }
 
-void HotStuffReplica::EnqueueTx(const types::Transaction& tx) {
-  const uint64_t key = TxKey(tx);
-  if (committed_tx_keys_.count(key) > 0) return;
-  if (!pending_keys_.insert(key).second) return;
-  pending_txs_.push_back(tx);
-}
-
 void HotStuffReplica::MaybePropose(bool allow_partial) {
   if (!IsLeader() || proposal_active_) return;
   // Slow/selective leader: hold the view without proposing. The passive
@@ -225,21 +148,14 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   if (inherited != pending_blocks_.end()) {
     batch = inherited->second.txs();
   } else {
-    if (pending_txs_.empty()) return;
-    if (pending_txs_.size() < config_.batch_size && !allow_partial) {
+    if (pending_pool_size() == 0) return;
+    if (pending_pool_size() < config_.batch_size && !allow_partial) {
       if (batch_timer_ == 0) {
         batch_timer_ = SetTimer(config_.batch_wait, Tag(kBatchTimer));
       }
       return;
     }
-    batch.reserve(std::min(pending_txs_.size(), config_.batch_size));
-    while (!pending_txs_.empty() && batch.size() < config_.batch_size) {
-      types::Transaction tx = pending_txs_.front();
-      pending_txs_.pop_front();
-      pending_keys_.erase(TxKey(tx));
-      if (committed_tx_keys_.count(TxKey(tx)) > 0) continue;
-      batch.push_back(std::move(tx));
-    }
+    batch = TakeBatch(config_.batch_size);
   }
   if (batch.empty()) return;
 
@@ -267,35 +183,17 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   proposal->v = view_;
   proposal->block = current_block_;
   proposal->sig = SignMaybeCorrupt(vote_digest);
-  if (adversary_ == nullptr) {
-    GuardedSend(PeerActors(), proposal);
-    return;
-  }
-  // Equivocating leader: conflicting, properly signed bodies per follower
-  // group (variant 0 = the canonical body the leader's own vote covers).
-  std::map<uint32_t, std::shared_ptr<HsProposalMsg>> variants;
-  variants.emplace(0u, proposal);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const auto dest = static_cast<types::ReplicaId>(i);
-    if (dest == id_) continue;
-    const uint32_t variant = adversary_->ProposalVariant(id_, dest, Now());
-    auto vit = variants.find(variant);
-    if (vit == variants.end()) {
-      auto forged = std::make_shared<HsProposalMsg>();
-      forged->v = view_;
-      forged->block = current_block_;
-      std::vector<types::Transaction> txs = forged->block.release_txs();
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
-      }
-      forged->block.set_txs(std::move(txs));
-      forged->sig = SignMaybeCorrupt(
-          HsVoteDigest(HsPhase::kPrepare, view_, forged->block.n(),
-                       forged->block.Digest()));
-      vit = variants.emplace(variant, std::move(forged)).first;
-    }
-    GuardedSend(replicas_[i], vit->second);
-  }
+  SendProposal(proposal, [this](uint32_t variant) {
+    auto forged = std::make_shared<HsProposalMsg>();
+    forged->v = view_;
+    forged->block = current_block_;
+    std::vector<types::Transaction> txs = forged->block.release_txs();
+    PerturbFingerprints(txs, variant);
+    forged->block.set_txs(std::move(txs));
+    forged->sig = SignMaybeCorrupt(HsVoteDigest(
+        HsPhase::kPrepare, view_, forged->block.n(), forged->block.Digest()));
+    return forged;
+  });
 }
 
 void HotStuffReplica::OnProposal(runtime::NodeId from, const HsProposalMsg& msg,
@@ -426,23 +324,7 @@ void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
   // Justify QC certifies the previous phase. This is the per-message
   // bottleneck (quorum-many signature checks), so the threaded backend's
   // prologue precomputes the verdict off the loop thread.
-  const bool justify_ok =
-      pre != nullptr
-          ? pre->justify_ok
-          : [&]() {
-              const HsPhase prev_phase =
-                  msg.phase == HsPhase::kPreCommit
-                      ? HsPhase::kPrepare
-                      : (msg.phase == HsPhase::kCommit ? HsPhase::kPreCommit
-                                                       : HsPhase::kCommit);
-              return crypto::VerifyQuorumCert(
-                         *keys_, msg.justify,
-                         HsVoteDigest(prev_phase, msg.v, msg.n,
-                                      msg.block_digest),
-                         config_.quorum())
-                  .ok();
-            }();
-  if (!justify_ok) {
+  if (!(pre != nullptr ? pre->justify_ok : JustifyOk(msg))) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -482,6 +364,19 @@ void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
   ArmViewTimer();
 }
 
+bool HotStuffReplica::JustifyOk(const HsPhaseMsg& msg) const {
+  const HsPhase prev_phase =
+      msg.phase == HsPhase::kPreCommit
+          ? HsPhase::kPrepare
+          : (msg.phase == HsPhase::kCommit ? HsPhase::kPreCommit
+                                           : HsPhase::kCommit);
+  return crypto::VerifyQuorumCert(
+             *keys_, msg.justify,
+             HsVoteDigest(prev_phase, msg.v, msg.n, msg.block_digest),
+             config_.quorum())
+      .ok();
+}
+
 void HotStuffReplica::OnNewView(runtime::NodeId from, const HsNewViewMsg& msg) {
   (void)from;
   if (msg.v <= view_) return;
@@ -499,29 +394,7 @@ void HotStuffReplica::DecideBlock(ledger::TxBlock block) {
     buffered_commits_[block.n()] = std::move(block);
     return;
   }
-  for (const types::Transaction& tx : block.txs()) {
-    committed_tx_keys_.insert(TxKey(tx));
-  }
-  metrics_.committed_txs += static_cast<int64_t>(block.txs().size());
-  ++metrics_.committed_blocks;
-  metrics_.commit_timeline.Add(Now(), static_cast<int64_t>(block.txs().size()));
-  // Shared commit-delivery path: exactly-once execution + result replies.
-  ledger::TxBlock to_execute = block;
-  if (AdversaryTampers()) {
-    // Forged replies: execute a tampered copy so local application state
-    // diverges and the reported results are forged (see core/replica.cc).
-    std::vector<types::Transaction> txs = to_execute.release_txs();
-    for (types::Transaction& tx : txs) {
-      tx.fingerprint ^= 0xf00dfacef00dfaceULL;
-      for (uint8_t& b : tx.command) b ^= 0x5a;
-    }
-    to_execute.set_txs(std::move(txs));
-  }
-  for (const auto& reply : delivery_.Deliver(to_execute)) {
-    if (reply->pool < clients_.size()) {
-      GuardedSend(clients_[reply->pool], reply);
-    }
-  }
+  DeliverCommitted(block);
   util::Status st = store_.AppendTxBlock(std::move(block));
   assert(st.ok());
   (void)st;
@@ -541,11 +414,6 @@ void HotStuffReplica::DecideBlock(ledger::TxBlock block) {
   }
 }
 
-bool HotStuffReplica::CrashedNow() const {
-  return fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-         Now() >= fault_.start_at;
-}
-
 runtime::Node::VerdictFn HotStuffReplica::PreVerify(
     runtime::NodeId from, const runtime::MessagePtr& msg) {
   if (auto m = std::dynamic_pointer_cast<const HsProposalMsg>(msg)) {
@@ -554,28 +422,13 @@ runtime::Node::VerdictFn HotStuffReplica::PreVerify(
     pre->vote_digest = HsVoteDigest(HsPhase::kPrepare, m->v, m->block.n(),
                                     pre->block_digest);
     pre->sig_ok = keys_->Verify(m->sig, pre->vote_digest);
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnProposal(from, *m, pre.get());
-    };
+    return CrashGated(
+        [this, from, m, pre] { OnProposal(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const HsPhaseMsg>(msg)) {
     auto pre = std::make_shared<HsPhaseMsg::Verified>();
-    const HsPhase prev_phase =
-        m->phase == HsPhase::kPreCommit
-            ? HsPhase::kPrepare
-            : (m->phase == HsPhase::kCommit ? HsPhase::kPreCommit
-                                            : HsPhase::kCommit);
-    pre->justify_ok =
-        crypto::VerifyQuorumCert(
-            *keys_, m->justify,
-            HsVoteDigest(prev_phase, m->v, m->n, m->block_digest),
-            config_.quorum())
-            .ok();
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnPhase(from, *m, pre.get());
-    };
+    pre->justify_ok = JustifyOk(*m);
+    return CrashGated([this, from, m, pre] { OnPhase(from, *m, pre.get()); });
   }
   (void)from;
   return nullptr;  // Votes, NewView, client and sync traffic: no split.
@@ -593,15 +446,7 @@ void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
   if (auto* m =
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
     ++metrics_.complaints_received;
-    if (committed_tx_keys_.count(TxKey(m->tx)) > 0) {
-      // Already committed; the client missed the replies. Re-serve the
-      // cached execution result from the session table (same recovery
-      // path as PrestigeBFT's complaint handler).
-      if (m->tx.pool < clients_.size()) {
-        GuardedSend(clients_[m->tx.pool], delivery_.ReplyFor(m->tx, view_));
-      }
-      return;
-    }
+    if (ReplyIfCommitted(m->tx, view_)) return;
     EnqueueTx(m->tx);
     MaybePropose(/*allow_partial=*/true);
     return;

@@ -8,29 +8,18 @@
 // (with exponential back-off) or the timing policy (r10/r30), and cannot
 // skip an already-crashed scheduled leader.
 //
-// Shares the simulation substrate, client messages, ledger, and fault
-// profiles with PrestigeBFT, so harness experiments drive both identically.
+// Shares the simulation substrate, client messages, ledger, and — through
+// core::ReplicaBase — the fault gates, request pool and commit delivery
+// with PrestigeBFT, so harness experiments drive both identically.
 
 #ifndef PRESTIGE_BASELINES_HOTSTUFF_REPLICA_H_
 #define PRESTIGE_BASELINES_HOTSTUFF_REPLICA_H_
 
-#include <deque>
 #include <map>
-#include <memory>
-#include <unordered_set>
-#include <vector>
 
-#include "core/commit_delivery.h"
 #include "core/messages.h"
-#include "core/metrics.h"
-#include "crypto/keys.h"
+#include "core/replica_base.h"
 #include "crypto/quorum_cert.h"
-#include "ledger/block_store.h"
-#include "runtime/env.h"
-#include "types/adversary.h"
-#include "types/client_messages.h"
-#include "types/ids.h"
-#include "types/fault_spec.h"
 
 namespace prestige {
 namespace baselines {
@@ -148,21 +137,11 @@ struct HotStuffConfig {
 };
 
 /// One HotStuff server.
-class HotStuffReplica : public runtime::Node {
+class HotStuffReplica : public core::ReplicaBase {
  public:
   HotStuffReplica(HotStuffConfig config, types::ReplicaId id,
                   const crypto::KeyStore* keys,
                   types::FaultSpec fault = types::FaultSpec::Honest());
-
-  void SetTopology(std::vector<runtime::NodeId> replicas,
-                   std::vector<runtime::NodeId> clients);
-  void SetService(std::unique_ptr<app::Service> service);
-
-  /// Installs an active-adversary policy (harness wiring only; nullptr =
-  /// honest, the default). See types/adversary.h.
-  void SetAdversary(const types::AdversaryPolicy* adversary) {
-    adversary_ = adversary;
-  }
 
   void OnStart() override;
   void OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) override;
@@ -180,12 +159,6 @@ class HotStuffReplica : public runtime::Node {
     return static_cast<types::ReplicaId>(view_ % config_.n);
   }
   bool IsLeader() const { return current_leader() == id_; }
-  const ledger::BlockStore& store() const { return store_; }
-  const app::Service& service() const { return delivery_.service(); }
-  const core::CommitPipeline& delivery() const { return delivery_; }
-  const core::ReplicaMetrics& metrics() const { return metrics_; }
-  const types::FaultSpec& fault() const { return fault_; }
-  types::ReplicaId replica_id() const { return id_; }
 
  private:
   enum TimerKind : uint64_t {
@@ -202,39 +175,8 @@ class HotStuffReplica : public runtime::Node {
     return util::TimerTagKind<TimerKind>(tag);
   }
 
-  static uint64_t TxKey(const types::Transaction& tx);
-  runtime::NodeId ActorOf(types::ReplicaId id) const { return replicas_[id]; }
-  std::vector<runtime::NodeId> PeerActors() const;
+  bool ActingAsLeader() const override { return IsLeader(); }
 
-  bool QuietActive() const;
-  bool EquivocateActive() const;
-  /// True once a kCrash fault has activated; epilogues re-check this
-  /// because the fault may trip between prologue and epilogue.
-  bool CrashedNow() const;
-
-  // Active-adversary queries (all false when no policy is installed).
-  bool AdversaryWedged() const {
-    return adversary_ != nullptr && adversary_->WedgeProposals(id_, Now());
-  }
-  bool AdversaryWithholds(types::ReplicaId target) const {
-    return adversary_ != nullptr &&
-           adversary_->WithholdVote(id_, target, Now());
-  }
-  bool AdversaryTampers() const {
-    return adversary_ != nullptr && adversary_->TamperExecution(id_, Now());
-  }
-  types::ReplicaId ReplicaIndexOf(runtime::NodeId node) const {
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i] == node) return static_cast<types::ReplicaId>(i);
-    }
-    return id_;
-  }
-
-  void GuardedSend(runtime::NodeId to, runtime::MessagePtr msg);
-  void GuardedSend(const std::vector<runtime::NodeId>& to, runtime::MessagePtr msg);
-  crypto::Signature SignMaybeCorrupt(const crypto::Sha256Digest& digest);
-
-  void EnqueueTx(const types::Transaction& tx);
   void EnterView(types::View v, bool failed);
   void AdvanceView(bool failed);
   void MaybePropose(bool allow_partial);
@@ -243,23 +185,14 @@ class HotStuffReplica : public runtime::Node {
   void OnVote(runtime::NodeId from, const HsVoteMsg& msg);
   void OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
                const HsPhaseMsg::Verified* pre = nullptr);
+  /// The justify QC checked over the previous phase's vote digest
+  /// (stateless).
+  bool JustifyOk(const HsPhaseMsg& msg) const;
   void OnNewView(runtime::NodeId from, const HsNewViewMsg& msg);
   void DecideBlock(ledger::TxBlock block);
   void ArmViewTimer();
 
   HotStuffConfig config_;
-  types::ReplicaId id_;
-  const crypto::KeyStore* keys_;
-  crypto::Signer signer_;
-  types::FaultSpec fault_;
-  /// Active-adversary interposer (nullptr = honest; harness-owned).
-  const types::AdversaryPolicy* adversary_ = nullptr;
-
-  std::vector<runtime::NodeId> replicas_;
-  std::vector<runtime::NodeId> clients_;
-
-  ledger::BlockStore store_;
-  core::CommitPipeline delivery_;
 
   types::View view_ = 1;
   int consecutive_failures_ = 0;
@@ -267,19 +200,12 @@ class HotStuffReplica : public runtime::Node {
   runtime::TimerId rotation_timer_ = 0;
   runtime::TimerId batch_timer_ = 0;
 
-  // Request pool (all replicas buffer; the scheduled leader proposes).
-  std::deque<types::Transaction> pending_txs_;
-  std::unordered_set<uint64_t> pending_keys_;
-  std::unordered_set<uint64_t> committed_tx_keys_;
-
   // Leader state: the single in-flight proposal (basic HotStuff has no
   // pipelining — one decision per view sequence of phases).
   bool proposal_active_ = false;
   ledger::TxBlock current_block_;
   HsPhase collect_phase_ = HsPhase::kPrepare;
   crypto::QuorumCertBuilder vote_builder_;
-  crypto::QuorumCertBuilder newview_builder_;
-  bool have_newview_quorum_ = false;
 
   // Follower state for the in-flight proposal.
   std::map<types::SeqNum, ledger::TxBlock> pending_blocks_;
@@ -291,8 +217,6 @@ class HotStuffReplica : public runtime::Node {
   /// sequence even when views drift under message loss (found by the
   /// flaky-links scenario).
   std::map<types::SeqNum, crypto::Sha256Digest> vote_bound_;
-
-  core::ReplicaMetrics metrics_;
 };
 
 }  // namespace hotstuff

@@ -1,6 +1,5 @@
 #include "baselines/sbft/sbft_replica.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace prestige {
@@ -18,35 +17,7 @@ crypto::Sha256Digest SbStageDigest(int stage, types::View v, types::SeqNum n,
 SbftReplica::SbftReplica(SbftConfig config, types::ReplicaId id,
                          const crypto::KeyStore* keys,
                          types::FaultSpec fault)
-    : config_(config),
-      id_(id),
-      keys_(keys),
-      signer_(keys, id),
-      fault_(fault),
-      delivery_(id) {}
-
-void SbftReplica::SetTopology(std::vector<runtime::NodeId> replicas,
-                              std::vector<runtime::NodeId> clients) {
-  replicas_ = std::move(replicas);
-  clients_ = std::move(clients);
-}
-
-void SbftReplica::SetService(std::unique_ptr<app::Service> service) {
-  delivery_.SetService(std::move(service));
-}
-
-uint64_t SbftReplica::TxKey(const types::Transaction& tx) {
-  return static_cast<uint64_t>(tx.pool) * 0x9e3779b97f4a7c15ULL ^
-         tx.client_seq * 0xc2b2ae3d27d4eb4fULL;
-}
-
-std::vector<runtime::NodeId> SbftReplica::PeerActors() const {
-  std::vector<runtime::NodeId> peers;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (static_cast<types::ReplicaId>(i) != id_) peers.push_back(replicas_[i]);
-  }
-  return peers;
-}
+    : ReplicaBase(id, keys, fault, config.batch_size), config_(config) {}
 
 void SbftReplica::OnStart() {
   view_ = 1;
@@ -58,6 +29,7 @@ void SbftReplica::OnStart() {
 }
 
 void SbftReplica::OnTimer(uint64_t tag) {
+  if (CrashedNow()) return;
   switch (TagKind(tag)) {
     case kViewTimer:
       // Passive rotation on timeout (fast path only — dual paths and view
@@ -79,13 +51,6 @@ void SbftReplica::OnTimer(uint64_t tag) {
       MaybePropose(true);
       break;
   }
-}
-
-void SbftReplica::EnqueueTx(const types::Transaction& tx) {
-  const uint64_t key = TxKey(tx);
-  if (committed_tx_keys_.count(key) > 0) return;
-  if (!pending_keys_.insert(key).second) return;
-  pending_txs_.push_back(tx);
 }
 
 void SbftReplica::MaybePropose(bool allow_partial) {
@@ -111,20 +76,14 @@ void SbftReplica::MaybePropose(bool allow_partial) {
   if (inherited != pending_blocks_.end()) {
     batch = inherited->second.txs();
   } else {
-    if (pending_txs_.empty()) return;
-    if (pending_txs_.size() < config_.batch_size && !allow_partial) {
+    if (pending_pool_size() == 0) return;
+    if (pending_pool_size() < config_.batch_size && !allow_partial) {
       if (batch_timer_ == 0) {
         batch_timer_ = SetTimer(config_.batch_wait, Tag(kBatchTimer));
       }
       return;
     }
-    while (!pending_txs_.empty() && batch.size() < config_.batch_size) {
-      types::Transaction tx = pending_txs_.front();
-      pending_txs_.pop_front();
-      pending_keys_.erase(TxKey(tx));
-      if (committed_tx_keys_.count(TxKey(tx)) > 0) continue;
-      batch.push_back(std::move(tx));
-    }
+    batch = TakeBatch(config_.batch_size);
   }
   if (batch.empty()) return;
 
@@ -151,36 +110,19 @@ void SbftReplica::MaybePropose(bool allow_partial) {
   pp->v = view_;
   pp->block = current_block_;
   pp->crypto_weight = config_.crypto_weight;
-  pp->sig = signer_.Sign(stage_digest);
-  if (adversary_ == nullptr) {
-    Send(PeerActors(), pp);
-    return;
-  }
-  // Equivocating leader: conflicting, properly signed bodies per follower
-  // group (variant 0 = the canonical body the leader's own share covers).
-  std::map<uint32_t, std::shared_ptr<SbPrePrepareMsg>> variants;
-  variants.emplace(0u, pp);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const auto dest = static_cast<types::ReplicaId>(i);
-    if (dest == id_) continue;
-    const uint32_t variant = adversary_->ProposalVariant(id_, dest, Now());
-    auto vit = variants.find(variant);
-    if (vit == variants.end()) {
-      auto forged = std::make_shared<SbPrePrepareMsg>();
-      forged->v = view_;
-      forged->block = current_block_;
-      forged->crypto_weight = config_.crypto_weight;
-      std::vector<types::Transaction> txs = forged->block.release_txs();
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
-      }
-      forged->block.set_txs(std::move(txs));
-      forged->sig = signer_.Sign(
-          SbStageDigest(0, view_, forged->block.n(), forged->block.Digest()));
-      vit = variants.emplace(variant, std::move(forged)).first;
-    }
-    Send(replicas_[i], vit->second);
-  }
+  pp->sig = SignMaybeCorrupt(stage_digest);
+  SendProposal(pp, [this](uint32_t variant) {
+    auto forged = std::make_shared<SbPrePrepareMsg>();
+    forged->v = view_;
+    forged->block = current_block_;
+    forged->crypto_weight = config_.crypto_weight;
+    std::vector<types::Transaction> txs = forged->block.release_txs();
+    PerturbFingerprints(txs, variant);
+    forged->block.set_txs(std::move(txs));
+    forged->sig = SignMaybeCorrupt(
+        SbStageDigest(0, view_, forged->block.n(), forged->block.Digest()));
+    return forged;
+  });
 }
 
 void SbftReplica::ExecuteBlock(ledger::TxBlock block) {
@@ -189,29 +131,7 @@ void SbftReplica::ExecuteBlock(ledger::TxBlock block) {
     buffered_commits_[block.n()] = std::move(block);
     return;
   }
-  for (const types::Transaction& tx : block.txs()) {
-    committed_tx_keys_.insert(TxKey(tx));
-  }
-  metrics_.committed_txs += static_cast<int64_t>(block.txs().size());
-  ++metrics_.committed_blocks;
-  metrics_.commit_timeline.Add(Now(), static_cast<int64_t>(block.txs().size()));
-  // Shared commit-delivery path: exactly-once execution + result replies.
-  ledger::TxBlock to_execute = block;
-  if (AdversaryTampers()) {
-    // Forged replies: execute a tampered copy so local application state
-    // diverges and the reported results are forged (see core/replica.cc).
-    std::vector<types::Transaction> txs = to_execute.release_txs();
-    for (types::Transaction& tx : txs) {
-      tx.fingerprint ^= 0xf00dfacef00dfaceULL;
-      for (uint8_t& b : tx.command) b ^= 0x5a;
-    }
-    to_execute.set_txs(std::move(txs));
-  }
-  for (const auto& reply : delivery_.Deliver(to_execute)) {
-    if (reply->pool < clients_.size()) {
-      Send(clients_[reply->pool], reply);
-    }
-  }
+  DeliverCommitted(block);
   util::Status st = store_.AppendTxBlock(std::move(block));
   assert(st.ok());
   (void)st;
@@ -258,23 +178,14 @@ void SbftReplica::OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg,
   share->stage = SbShareMsg::Stage::kCommit;
   share->v = msg.v;
   share->n = msg.block.n();
-  share->partial = signer_.Sign(stage_digest);
-  Send(from, share);
+  share->partial = SignMaybeCorrupt(stage_digest);
+  GuardedSend(from, share);
 }
 
 void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg,
                           const SbProofMsg::Verified* pre) {
   if (msg.v != view_ || IsLeader()) return;
-  const int stage = static_cast<int>(msg.stage);
-  const bool proof_ok =
-      pre != nullptr
-          ? pre->proof_ok
-          : crypto::VerifyQuorumCert(
-                *keys_, msg.proof,
-                SbStageDigest(stage, msg.v, msg.n, msg.block_digest),
-                config_.quorum())
-                .ok();
-  if (!proof_ok) {
+  if (!(pre != nullptr ? pre->proof_ok : ProofOk(msg))) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -296,8 +207,8 @@ void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg,
     share->stage = SbShareMsg::Stage::kExecute;
     share->v = msg.v;
     share->n = msg.n;
-    share->partial = signer_.Sign(exec_digest);
-    Send(from, share);
+    share->partial = SignMaybeCorrupt(exec_digest);
+    GuardedSend(from, share);
   } else {
     ledger::TxBlock block = std::move(it->second);
     pending_blocks_.erase(it);
@@ -305,9 +216,13 @@ void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg,
   }
 }
 
-bool SbftReplica::CrashedNow() const {
-  return fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-         Now() >= fault_.start_at;
+bool SbftReplica::ProofOk(const SbProofMsg& msg) const {
+  return crypto::VerifyQuorumCert(
+             *keys_, msg.proof,
+             SbStageDigest(static_cast<int>(msg.stage), msg.v, msg.n,
+                           msg.block_digest),
+             config_.quorum())
+      .ok();
 }
 
 runtime::Node::VerdictFn SbftReplica::PreVerify(
@@ -318,24 +233,13 @@ runtime::Node::VerdictFn SbftReplica::PreVerify(
     pre->stage_digest = SbStageDigest(0, m->v, m->block.n(),
                                       pre->block_digest);
     pre->sig_ok = keys_->Verify(m->sig, pre->stage_digest);
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnPrePrepare(from, *m, pre.get());
-    };
+    return CrashGated(
+        [this, from, m, pre] { OnPrePrepare(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const SbProofMsg>(msg)) {
     auto pre = std::make_shared<SbProofMsg::Verified>();
-    pre->proof_ok =
-        crypto::VerifyQuorumCert(
-            *keys_, m->proof,
-            SbStageDigest(static_cast<int>(m->stage), m->v, m->n,
-                          m->block_digest),
-            config_.quorum())
-            .ok();
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnProof(from, *m, pre.get());
-    };
+    pre->proof_ok = ProofOk(*m);
+    return CrashGated([this, from, m, pre] { OnProof(from, *m, pre.get()); });
   }
   (void)from;
   return nullptr;  // Shares, client and sync traffic: no split.
@@ -352,14 +256,7 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
   }
   if (auto* m =
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
-    if (committed_tx_keys_.count(TxKey(m->tx)) > 0) {
-      // Already committed; re-serve the cached reply (the client missed
-      // the originals) instead of dropping the complaint.
-      if (m->tx.pool < clients_.size()) {
-        Send(clients_[m->tx.pool], delivery_.ReplyFor(m->tx, view_));
-      }
-      return;
-    }
+    if (ReplyIfCommitted(m->tx, view_)) return;
     EnqueueTx(m->tx);
     MaybePropose(true);
     return;
@@ -395,19 +292,21 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
       // Full-commit-proof; start collecting execution shares.
       current_block_.commit_qc = proof;
       out->stage = SbProofMsg::Stage::kCommit;
-      out->sig = signer_.Sign(SbStageDigest(0, view_, current_block_.n(), digest));
+      out->sig =
+          SignMaybeCorrupt(SbStageDigest(0, view_, current_block_.n(), digest));
       collect_stage_ = 1;
       const crypto::Sha256Digest exec_digest =
           SbStageDigest(1, view_, current_block_.n(), digest);
       share_builder_ =
           crypto::QuorumCertBuilder(exec_digest, config_.quorum());
       share_builder_.Add(signer_.Sign(exec_digest), exec_digest);
-      Send(PeerActors(), out);
+      GuardedSend(PeerActors(), out);
     } else {
       // Execute-proof: decision complete.
       out->stage = SbProofMsg::Stage::kExecute;
-      out->sig = signer_.Sign(SbStageDigest(1, view_, current_block_.n(), digest));
-      Send(PeerActors(), out);
+      out->sig =
+          SignMaybeCorrupt(SbStageDigest(1, view_, current_block_.n(), digest));
+      GuardedSend(PeerActors(), out);
       proposal_active_ = false;
       ExecuteBlock(current_block_);
       MaybePropose(true);

@@ -12,23 +12,11 @@
 #ifndef PRESTIGE_BASELINES_SBFT_REPLICA_H_
 #define PRESTIGE_BASELINES_SBFT_REPLICA_H_
 
-#include <deque>
 #include <map>
-#include <memory>
-#include <unordered_set>
-#include <vector>
 
-#include "core/commit_delivery.h"
 #include "core/messages.h"
-#include "core/metrics.h"
-#include "crypto/keys.h"
+#include "core/replica_base.h"
 #include "crypto/quorum_cert.h"
-#include "ledger/block_store.h"
-#include "runtime/env.h"
-#include "types/adversary.h"
-#include "types/client_messages.h"
-#include "types/ids.h"
-#include "types/fault_spec.h"
 
 namespace prestige {
 namespace baselines {
@@ -120,21 +108,11 @@ crypto::Sha256Digest SbStageDigest(int stage, types::View v, types::SeqNum n,
 
 /// One SBFT server (leader doubles as the collector, fast path only; view
 /// changes use the passive schedule like HotStuff).
-class SbftReplica : public runtime::Node {
+class SbftReplica : public core::ReplicaBase {
  public:
   SbftReplica(SbftConfig config, types::ReplicaId id,
               const crypto::KeyStore* keys,
               types::FaultSpec fault = types::FaultSpec::Honest());
-
-  void SetTopology(std::vector<runtime::NodeId> replicas,
-                   std::vector<runtime::NodeId> clients);
-  void SetService(std::unique_ptr<app::Service> service);
-
-  /// Installs an active-adversary policy (harness wiring only; nullptr =
-  /// honest, the default). See types/adversary.h.
-  void SetAdversary(const types::AdversaryPolicy* adversary) {
-    adversary_ = adversary;
-  }
 
   void OnStart() override;
   void OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) override;
@@ -151,11 +129,6 @@ class SbftReplica : public runtime::Node {
     return static_cast<types::ReplicaId>(view_ % config_.n);
   }
   bool IsLeader() const { return current_leader() == id_; }
-  const ledger::BlockStore& store() const { return store_; }
-  const app::Service& service() const { return delivery_.service(); }
-  const core::CommitPipeline& delivery() const { return delivery_; }
-  const core::ReplicaMetrics& metrics() const { return metrics_; }
-  const types::FaultSpec& fault() const { return fault_; }
 
  private:
   enum TimerKind : uint64_t { kViewTimer = 1, kBatchTimer = 2 };
@@ -167,58 +140,22 @@ class SbftReplica : public runtime::Node {
     return util::TimerTagKind<TimerKind>(tag);
   }
 
-  static uint64_t TxKey(const types::Transaction& tx);
-  std::vector<runtime::NodeId> PeerActors() const;
-  void EnqueueTx(const types::Transaction& tx);
+  bool ActingAsLeader() const override { return IsLeader(); }
+
   void MaybePropose(bool allow_partial);
   void ExecuteBlock(ledger::TxBlock block);
   void OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg,
                     const SbPrePrepareMsg::Verified* pre = nullptr);
   void OnProof(runtime::NodeId from, const SbProofMsg& msg,
                const SbProofMsg::Verified* pre = nullptr);
-  /// True once a kCrash fault has activated; epilogues re-check this
-  /// because the fault may trip between prologue and epilogue.
-  bool CrashedNow() const;
-
-  // Active-adversary queries (all false when no policy is installed).
-  bool AdversaryWedged() const {
-    return adversary_ != nullptr && adversary_->WedgeProposals(id_, Now());
-  }
-  bool AdversaryWithholds(types::ReplicaId target) const {
-    return adversary_ != nullptr &&
-           adversary_->WithholdVote(id_, target, Now());
-  }
-  bool AdversaryTampers() const {
-    return adversary_ != nullptr && adversary_->TamperExecution(id_, Now());
-  }
-  types::ReplicaId ReplicaIndexOf(runtime::NodeId node) const {
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i] == node) return static_cast<types::ReplicaId>(i);
-    }
-    return id_;
-  }
+  /// The combined proof checked over its stage digest (stateless).
+  bool ProofOk(const SbProofMsg& msg) const;
 
   SbftConfig config_;
-  types::ReplicaId id_;
-  const crypto::KeyStore* keys_;
-  crypto::Signer signer_;
-  types::FaultSpec fault_;
-  /// Active-adversary interposer (nullptr = honest; harness-owned).
-  const types::AdversaryPolicy* adversary_ = nullptr;
-
-  std::vector<runtime::NodeId> replicas_;
-  std::vector<runtime::NodeId> clients_;
-
-  ledger::BlockStore store_;
-  core::CommitPipeline delivery_;
 
   types::View view_ = 1;
   runtime::TimerId view_timer_ = 0;
   runtime::TimerId batch_timer_ = 0;
-
-  std::deque<types::Transaction> pending_txs_;
-  std::unordered_set<uint64_t> pending_keys_;
-  std::unordered_set<uint64_t> committed_tx_keys_;
 
   bool proposal_active_ = false;
   ledger::TxBlock current_block_;
@@ -234,8 +171,6 @@ class SbftReplica : public runtime::Node {
   /// message loss lets two leaders certify conflicting blocks at the same
   /// height (found by the flaky-links scenario).
   std::map<types::SeqNum, crypto::Sha256Digest> share_bound_;
-
-  core::ReplicaMetrics metrics_;
 };
 
 }  // namespace sbft

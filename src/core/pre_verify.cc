@@ -25,9 +25,9 @@
 //     builder state, so they are declined entirely: the whole handler
 //     runs as the epilogue.
 //
-// Every epilogue re-checks CrashedNow(): a kCrash fault may activate in
-// the window between prologue and epilogue, and a crashed replica must
-// process nothing.
+// Every epilogue is CrashGated (core/replica_base.h): a kCrash fault may
+// activate in the window between prologue and epilogue, and a crashed
+// replica must process nothing.
 
 #include <memory>
 
@@ -48,10 +48,7 @@ runtime::Node::VerdictFn PrestigeReplica::PreVerify(
     pre->block_digest = pre->block.Digest();
     pre->ord_digest = ledger::OrderingDigest(m->v, m->n, pre->block_digest);
     pre->sig_ok = keys_->Verify(m->sig, pre->ord_digest);
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnOrd(from, *m, pre.get());
-    };
+    return CrashGated([this, from, m, pre] { OnOrd(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const CmtMsg>(msg)) {
     auto pre = std::make_shared<CmtMsg::Verified>();
@@ -62,42 +59,29 @@ runtime::Node::VerdictFn PrestigeReplica::PreVerify(
                      .ok();
     pre->cmt_digest = ledger::CommitDigest(m->v, m->n, m->block_digest);
     pre->sig_ok = keys_->Verify(m->sig, pre->cmt_digest);
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnCmt(from, *m, pre.get());
-    };
+    return CrashGated([this, from, m, pre] { OnCmt(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const HeartbeatMsg>(msg)) {
     auto pre = std::make_shared<HeartbeatMsg::Verified>();
     pre->sig_ok = keys_->Verify(m->sig, HeartbeatDigest(m->v, m->latest_n));
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnHeartbeat(from, *m, pre.get());
-    };
+    return CrashGated(
+        [this, from, m, pre] { OnHeartbeat(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const ComptRelayMsg>(msg)) {
     auto pre = std::make_shared<ComptRelayMsg::Verified>();
     pre->sig_ok = keys_->Verify(m->sig, m->tx.Digest());
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnComptRelay(from, *m, pre.get());
-    };
+    return CrashGated(
+        [this, from, m, pre] { OnComptRelay(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const ConfVcMsg>(msg)) {
     auto pre = std::make_shared<ConfVcMsg::Verified>();
     pre->sig_ok = keys_->Verify(m->sig, ledger::ConfDigest(m->v));
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnConfVc(from, *m, pre.get());
-    };
+    return CrashGated([this, from, m, pre] { OnConfVc(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const ReVcMsg>(msg)) {
     auto pre = std::make_shared<ReVcMsg::Verified>();
     pre->sig_ok = keys_->Verify(m->partial, ledger::ConfDigest(m->v));
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnReVc(from, *m, pre.get());
-    };
+    return CrashGated([this, from, m, pre] { OnReVc(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const CampMsg>(msg)) {
     auto pre = std::make_shared<CampMsg::Verified>();
@@ -117,19 +101,13 @@ runtime::Node::VerdictFn PrestigeReplica::PreVerify(
       const int required_bits = config_.pow.DifficultyBits(m->rp);
       pre->pow_ok = crypto::PowVerify(payload, m->nonce, required_bits);
     }
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnCamp(from, *m, pre.get());
-    };
+    return CrashGated([this, from, m, pre] { OnCamp(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const VoteCpMsg>(msg)) {
     auto pre = std::make_shared<VoteCpMsg::Verified>();
     pre->sig_ok = keys_->Verify(
         m->partial, ledger::VoteDigest(m->v_new, m->candidate));
-    return [this, from, m, pre]() {
-      if (CrashedNow()) return;
-      OnVoteCp(from, *m, pre.get());
-    };
+    return CrashGated([this, from, m, pre] { OnVoteCp(from, *m, pre.get()); });
   }
   if (auto m = std::dynamic_pointer_cast<const TxBlockMsg>(msg)) {
     // No verdict to precompute, but hashing the block here publishes its

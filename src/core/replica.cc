@@ -28,90 +28,12 @@ PrestigeReplica::PrestigeReplica(PrestigeConfig config,
                                  types::ReplicaId replica_id,
                                  const crypto::KeyStore* keys,
                                  types::FaultSpec fault)
-    : config_(config),
-      id_(replica_id),
-      keys_(keys),
-      signer_(keys, replica_id),
-      fault_(fault),
+    : ReplicaBase(replica_id, keys, fault, config.batch_size),
+      config_(config),
       engine_(config.reputation),
-      delivery_(replica_id),
       modeled_solver_(config.pow) {}
 
 PrestigeReplica::~PrestigeReplica() = default;
-
-void PrestigeReplica::SetTopology(std::vector<runtime::NodeId> replicas,
-                                  std::vector<runtime::NodeId> clients) {
-  replicas_ = std::move(replicas);
-  clients_ = std::move(clients);
-}
-
-void PrestigeReplica::SetService(std::unique_ptr<app::Service> service) {
-  delivery_.SetService(std::move(service));
-}
-
-uint64_t PrestigeReplica::TxKey(const types::Transaction& tx) {
-  return static_cast<uint64_t>(tx.pool) * 0x9e3779b97f4a7c15ULL ^
-         tx.client_seq * 0xc2b2ae3d27d4eb4fULL;
-}
-
-std::vector<runtime::NodeId> PrestigeReplica::PeerActors() const {
-  std::vector<runtime::NodeId> peers;
-  peers.reserve(replicas_.size() - 1);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (static_cast<types::ReplicaId>(i) != id_) peers.push_back(replicas_[i]);
-  }
-  return peers;
-}
-
-// --------------------------------------------------------------- faults
-
-bool PrestigeReplica::QuietActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kQuiet) return true;
-  // F4+F2: the attacker completes the view-change consensus honestly (so it
-  // is installed as leader), then stonewalls replication.
-  if (fault_.type == types::FaultType::kRepeatedVc &&
-      role_ == Role::kLeader && replication_enabled_ &&
-      fault_.as_leader == types::LeaderMisbehaviour::kQuiet) {
-    return true;
-  }
-  return false;
-}
-
-bool PrestigeReplica::EquivocateActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kEquivocate) return true;
-  if (fault_.type == types::FaultType::kRepeatedVc &&
-      role_ == Role::kLeader && replication_enabled_ &&
-      fault_.as_leader == types::LeaderMisbehaviour::kEquivocate) {
-    return true;
-  }
-  return false;
-}
-
-bool PrestigeReplica::ByzantineActive() const {
-  return fault_.IsByzantine() && Now() >= fault_.start_at;
-}
-
-void PrestigeReplica::GuardedSend(runtime::NodeId to, runtime::MessagePtr msg) {
-  if (QuietActive()) return;  // F2: a quiet server emits nothing.
-  Send(to, std::move(msg));
-}
-
-void PrestigeReplica::GuardedSend(const std::vector<runtime::NodeId>& to,
-                                  runtime::MessagePtr msg) {
-  if (QuietActive()) return;
-  Send(to, std::move(msg));
-}
-
-crypto::Signature PrestigeReplica::SignMaybeCorrupt(
-    const crypto::Sha256Digest& digest) {
-  crypto::Signature sig = signer_.Sign(digest);
-  if (EquivocateActive()) {
-    sig.mac[0] ^= 0xff;  // F3: erroneous reply; receivers reject it.
-  }
-  return sig;
-}
 
 types::Penalty PrestigeReplica::EffectiveRp(types::ReplicaId id) const {
   auto it = refresh_overlay_.find(id);
@@ -181,10 +103,6 @@ void PrestigeReplica::OnStart() {
     rotation_timer_ =
         SetTimer(config_.rotation_period + jitter, Tag(kRotationDue));
   }
-  if (fault_.type == types::FaultType::kCrash) {
-    // Crash faults are modeled at the network layer by the harness; the
-    // replica itself needs no behaviour change here.
-  }
   if (EquivocateActive() ||
       fault_.type == types::FaultType::kEquivocate) {
     SetTimer(util::Millis(50), Tag(kNoiseTimer));
@@ -192,11 +110,6 @@ void PrestigeReplica::OnStart() {
 }
 
 // ------------------------------------------------------------- dispatch
-
-bool PrestigeReplica::CrashedNow() const {
-  return fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-         Now() >= fault_.start_at;
-}
 
 void PrestigeReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) {
   if (CrashedNow()) {
@@ -408,14 +321,14 @@ void PrestigeReplica::OnTimer(uint64_t tag) {
           const types::Transaction* evidence = nullptr;
           uint64_t evidence_key = 0;
           for (const auto& [key, state] : complaints_) {
-            if (committed_tx_keys_.count(key) > 0) continue;
+            if (Committed(key)) continue;
             if (evidence == nullptr || key < evidence_key) {
               evidence = &state.tx;
               evidence_key = key;
             }
           }
           if (evidence == nullptr && has_attack_complaint_) {
-            if (committed_tx_keys_.count(TxKey(attack_complaint_tx_)) == 0) {
+            if (!Committed(TxKey(attack_complaint_tx_))) {
               evidence = &attack_complaint_tx_;
             } else {
               has_attack_complaint_ = false;
@@ -509,50 +422,13 @@ util::Status PrestigeReplica::ValidateAndAppendTxBlock(
       ledger::CommitDigest(block.v, block.n(), digest), config_.quorum()));
   ledger::TxBlock copy = block;
   util::Status st = store_.AppendTxBlock(std::move(copy));
-  if (st.ok()) {
-    // One delivery path for every commit route (leader, follower, sync):
-    // exactly-once execution + per-pool replies carrying the results.
-    if (AdversaryTampers()) {
-      // Forged replies: execute a tampered copy of the committed block, so
-      // this replica's application state genuinely diverges and the reply
-      // entries it reports carry forged result digests. The chain itself
-      // stays canonical (the QC verified above covers the real body).
-      ledger::TxBlock forged = block;
-      std::vector<types::Transaction> txs = forged.release_txs();
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0xf00dfacef00dfaceULL;
-        for (uint8_t& b : tx.command) b ^= 0x5a;
-      }
-      forged.set_txs(std::move(txs));
-      SendReplies(delivery_.Deliver(forged));
-    } else {
-      SendReplies(delivery_.Deliver(block));
-    }
-    metrics_.committed_txs += static_cast<int64_t>(block.BatchSize());
-    ++metrics_.committed_blocks;
-    metrics_.commit_timeline.Add(Now(),
-                                 static_cast<int64_t>(block.BatchSize()));
+  if (!st.ok()) return st;
+  // One delivery path for every commit route (leader, follower, sync).
+  DeliverCommitted(block);
+  if (!complaints_.empty()) {
     for (const types::Transaction& tx : block.txs()) {
-      const uint64_t key = TxKey(tx);
-      committed_tx_keys_.insert(key);
-      auto it = complaints_.find(key);
-      if (it != complaints_.end()) {
-        ResolveComplaint(it);
-      }
-    }
-    // Amortized prune: committed entries linger in the request pool until
-    // proposal time; rebuild the pool occasionally to bound its size.
-    if (pending_txs_.size() > 8 * config_.batch_size + 1024) {
-      std::deque<types::Transaction> kept;
-      for (types::Transaction& tx : pending_txs_) {
-        const uint64_t key = TxKey(tx);
-        if (committed_tx_keys_.count(key) > 0) {
-          pending_keys_.erase(key);
-        } else {
-          kept.push_back(std::move(tx));
-        }
-      }
-      pending_txs_.swap(kept);
+      auto it = complaints_.find(TxKey(tx));
+      if (it != complaints_.end()) ResolveComplaint(it);
     }
   }
   return st;

@@ -9,8 +9,10 @@
 //  * the reputation engine hookup (§3) and penalty refresh (§4.2.5).
 //
 // Fault injection for the evaluation's attack suite (F1-F4, S1/S2) is
-// driven by a types::FaultSpec and implemented at clearly marked
-// decision points; honest replicas take none of those branches.
+// driven by a types::FaultSpec: the crash/quiet/equivocate gates live in
+// ReplicaBase (shared with the baselines), the campaign strategy at
+// clearly marked decision points here; honest replicas take none of those
+// branches.
 //
 // Implementation is split across replica.cc (dispatch, sync, shared
 // helpers), replication.cc (§4.3), and view_change.cc (§4.2).
@@ -18,27 +20,17 @@
 #ifndef PRESTIGE_CORE_REPLICA_H_
 #define PRESTIGE_CORE_REPLICA_H_
 
-#include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "core/commit_delivery.h"
 #include "core/config.h"
 #include "core/messages.h"
-#include "core/metrics.h"
-#include "crypto/keys.h"
+#include "core/replica_base.h"
 #include "crypto/pow.h"
-#include "ledger/block_store.h"
 #include "reputation/reputation_engine.h"
-#include "runtime/env.h"
-#include "types/adversary.h"
-#include "types/client_messages.h"
-#include "types/ids.h"
-#include "types/fault_spec.h"
 
 namespace prestige {
 namespace core {
@@ -49,27 +41,12 @@ enum class Role { kFollower, kRedeemer, kCandidate, kLeader };
 const char* RoleName(Role role);
 
 /// One PrestigeBFT server as a simulation actor.
-class PrestigeReplica : public runtime::Node {
+class PrestigeReplica : public ReplicaBase {
  public:
   PrestigeReplica(PrestigeConfig config, types::ReplicaId replica_id,
                   const crypto::KeyStore* keys,
                   types::FaultSpec fault = types::FaultSpec::Honest());
   ~PrestigeReplica() override;
-
-  /// Wires actor ids: `replicas[i]` is replica i's actor id; `clients` are
-  /// the client-pool actors to notify on commit.
-  void SetTopology(std::vector<runtime::NodeId> replicas,
-                   std::vector<runtime::NodeId> clients);
-
-  /// Replaces the application service (defaults to app::NullService).
-  void SetService(std::unique_ptr<app::Service> service);
-
-  /// Installs an active-adversary policy (harness wiring only; nullptr =
-  /// honest, the default). The replica consults it at its propose / reply
-  /// / vote / execute sites; see types/adversary.h.
-  void SetAdversary(const types::AdversaryPolicy* adversary) {
-    adversary_ = adversary;
-  }
 
   // runtime::Node interface.
   void OnStart() override;
@@ -85,22 +62,14 @@ class PrestigeReplica : public runtime::Node {
   // Observability.
   Role role() const { return role_; }
   types::View view() const { return view_; }
-  types::ReplicaId replica_id() const { return id_; }
   types::ReplicaId current_leader() const { return leader_; }
   bool IsLeader() const { return role_ == Role::kLeader; }
-  const ledger::BlockStore& store() const { return store_; }
-  const app::Service& service() const { return delivery_.service(); }
-  /// The commit-delivery pipeline (service + client session table).
-  const CommitPipeline& delivery() const { return delivery_; }
-  const ReplicaMetrics& metrics() const { return metrics_; }
-  const types::FaultSpec& fault() const { return fault_; }
   /// Effective current penalty of `id` (vcBlock value + refresh overlay).
   types::Penalty EffectiveRp(types::ReplicaId id) const;
   types::CompensationIndex EffectiveCi(types::ReplicaId id) const;
 
   // Introspection for tests and debugging.
   bool replication_enabled() const { return replication_enabled_; }
-  size_t pending_pool_size() const { return pending_txs_.size(); }
   size_t inflight_instances() const { return instances_.size(); }
   size_t pending_block_count() const { return pending_blocks_.size(); }
   types::View voted_view() const { return voted_view_; }
@@ -193,47 +162,13 @@ class PrestigeReplica : public runtime::Node {
     return util::TimerTagPayload(tag);
   }
 
-  static uint64_t TxKey(const types::Transaction& tx);
-
-  runtime::NodeId ActorOf(types::ReplicaId id) const { return replicas_[id]; }
-  std::vector<runtime::NodeId> PeerActors() const;  ///< All replicas but self.
-
-  /// Send gated by fault behaviour (quiet servers drop all output).
-  void GuardedSend(runtime::NodeId to, runtime::MessagePtr msg);
-  void GuardedSend(const std::vector<runtime::NodeId>& to, runtime::MessagePtr msg);
-
-  /// Signs `digest`, corrupting the MAC when equivocating (F3).
-  crypto::Signature SignMaybeCorrupt(const crypto::Sha256Digest& digest);
-
-  bool QuietActive() const;
-  bool EquivocateActive() const;
-  bool ByzantineActive() const;
-  /// The OnMessage/OnTimer crash gate; PreVerify epilogues re-check it at
-  /// delivery time (the fault may activate between prologue and epilogue).
-  bool CrashedNow() const;
-
-  // Active-adversary queries (all false/0 when no policy is installed).
-  bool AdversaryWedged() const {
-    return adversary_ != nullptr && adversary_->WedgeProposals(id_, Now());
-  }
-  bool AdversaryWithholds(types::ReplicaId target) const {
-    return adversary_ != nullptr &&
-           adversary_->WithholdVote(id_, target, Now());
-  }
-  bool AdversaryTampers() const {
-    return adversary_ != nullptr && adversary_->TamperExecution(id_, Now());
-  }
-  /// Replica index of actor `node`, or id_ when it is not a replica.
-  types::ReplicaId ReplicaIndexOf(runtime::NodeId node) const {
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i] == node) return static_cast<types::ReplicaId>(i);
-    }
-    return id_;
+  /// In office: elected and past the vcYes quorum.
+  bool ActingAsLeader() const override {
+    return role_ == Role::kLeader && replication_enabled_;
   }
 
   // ------------------------------------------------------- replication
   void OnClientBatch(runtime::NodeId from, const types::ClientBatch& batch);
-  void EnqueueTx(const types::Transaction& tx);
   void MaybePropose(bool allow_partial = false);
   void Propose(std::vector<types::Transaction> batch);
   /// Broadcasts an Ord to all peers; with an equivocating adversary
@@ -255,9 +190,6 @@ class PrestigeReplica : public runtime::Node {
   /// buffered successors.
   void CommitBlock(ledger::TxBlock block);
   void DrainBufferedBlocks();
-  /// Routes per-pool ClientReply messages to their client-pool nodes.
-  void SendReplies(
-      const std::vector<std::shared_ptr<types::ClientReply>>& replies);
   void ResetProgress();
   void ArmProgressTimer();
   util::DurationMicros SampleTimeout();
@@ -327,12 +259,6 @@ class PrestigeReplica : public runtime::Node {
 
   // ------------------------------------------------------------ members
   PrestigeConfig config_;
-  types::ReplicaId id_;
-  const crypto::KeyStore* keys_;
-  crypto::Signer signer_;
-  types::FaultSpec fault_;
-  /// Active-adversary interposer (nullptr = honest; harness-owned).
-  const types::AdversaryPolicy* adversary_ = nullptr;
   /// F4 attacker emulation: the latest client complaint received while
   /// leading, kept as evidence for contesting its own deposition
   /// (kAttackProbe) — the same evidence honest followers hold, minus
@@ -340,12 +266,7 @@ class PrestigeReplica : public runtime::Node {
   types::Transaction attack_complaint_tx_;
   bool has_attack_complaint_ = false;
 
-  std::vector<runtime::NodeId> replicas_;
-  std::vector<runtime::NodeId> clients_;
-
-  ledger::BlockStore store_;
   reputation::ReputationEngine engine_;
-  CommitPipeline delivery_;
   crypto::RealPowSolver real_solver_;
   crypto::ModeledPowSolver modeled_solver_;
 
@@ -363,9 +284,6 @@ class PrestigeReplica : public runtime::Node {
            std::pair<types::Penalty, types::CompensationIndex>>
       refresh_overlay_;
 
-  // Request pool (all replicas buffer; only the leader proposes).
-  std::deque<types::Transaction> pending_txs_;
-  std::unordered_set<uint64_t> pending_keys_;  ///< Keys in pending_txs_.
   std::map<types::SeqNum, Instance> instances_;
   std::map<types::SeqNum, ledger::TxBlock> ready_blocks_;  ///< Out-of-order.
   types::SeqNum next_seq_ = 1;
@@ -379,7 +297,6 @@ class PrestigeReplica : public runtime::Node {
   // Follower replication state.
   std::map<types::SeqNum, PendingBlock> pending_blocks_;
   std::map<types::SeqNum, ledger::TxBlock> buffered_commits_;
-  std::unordered_set<uint64_t> committed_tx_keys_;
   /// Cross-view ordering binding: once this replica ordering-signs a block
   /// at sequence n, it never ordering- or commit-signs a different block at
   /// n. Since an ordering_QC needs 2f+1 signers, at most one body can ever
@@ -466,8 +383,6 @@ class PrestigeReplica : public runtime::Node {
   // Equivocation guard: digests this replica signed per (view, seq).
   std::map<std::pair<types::View, types::SeqNum>, crypto::Sha256Digest>
       signed_ord_;
-
-  ReplicaMetrics metrics_;
 };
 
 }  // namespace core

@@ -22,13 +22,6 @@ void PrestigeReplica::OnClientBatch(runtime::NodeId from,
   if (role_ == Role::kLeader) MaybePropose();
 }
 
-void PrestigeReplica::EnqueueTx(const types::Transaction& tx) {
-  const uint64_t key = TxKey(tx);
-  if (committed_tx_keys_.count(key) > 0) return;  // Already decided.
-  if (!pending_keys_.insert(key).second) return;  // Already buffered.
-  pending_txs_.push_back(tx);
-}
-
 void PrestigeReplica::MaybePropose(bool allow_partial) {
   if (role_ != Role::kLeader || !replication_enabled_) return;
   // Slow/selective leader: wedge the proposal path while heartbeats keep
@@ -39,27 +32,20 @@ void PrestigeReplica::MaybePropose(bool allow_partial) {
   // actually goes out: when the timer fires while the pipeline is full, the
   // trigger must survive to the next free slot, not be dropped.
   if (partial_due_) allow_partial = true;
-  while (!pending_txs_.empty() && instances_.size() < config_.max_inflight) {
-    if (pending_txs_.size() < config_.batch_size && !allow_partial) break;
-    std::vector<types::Transaction> batch;
-    batch.reserve(std::min(pending_txs_.size(), config_.batch_size));
-    while (!pending_txs_.empty() && batch.size() < config_.batch_size) {
-      types::Transaction tx = pending_txs_.front();
-      pending_txs_.pop_front();
-      const uint64_t key = TxKey(tx);
-      pending_keys_.erase(key);
-      if (committed_tx_keys_.count(key) > 0) continue;   // Already decided.
-      if (inflight_tx_keys_.count(key) > 0) continue;    // Being re-proposed.
-      batch.push_back(std::move(tx));
-    }
+  while (pending_pool_size() > 0 &&
+         instances_.size() < config_.max_inflight) {
+    if (pending_pool_size() < config_.batch_size && !allow_partial) break;
+    // Transactions inside re-proposed bodies are skipped.
+    std::vector<types::Transaction> batch =
+        TakeBatch(config_.batch_size, &inflight_tx_keys_);
     if (batch.empty()) break;
     Propose(std::move(batch));
     allow_partial = false;  // At most one partial block per trigger.
     partial_due_ = false;   // The overdue front of the pool was proposed.
   }
-  if (pending_txs_.empty()) partial_due_ = false;
+  if (pending_pool_size() == 0) partial_due_ = false;
   // A partial batch left behind gets proposed when the batch timer fires.
-  if (!pending_txs_.empty() && batch_timer_ == 0) {
+  if (pending_pool_size() > 0 && batch_timer_ == 0) {
     batch_timer_ = SetTimer(config_.batch_wait, Tag(kBatchTimer));
   }
 }
@@ -96,43 +82,24 @@ void PrestigeReplica::Propose(std::vector<types::Transaction> batch) {
 }
 
 void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
-  if (adversary_ == nullptr) {
-    GuardedSend(PeerActors(), ord);
-    return;
-  }
-  // Equivocating leader: each follower group gets its own conflicting but
-  // properly signed body (variant 0 = the canonical body the leader's own
-  // ordering signature covers). Perturbing every transaction fingerprint
-  // changes the block digest while keeping the batch well-formed.
-  std::map<uint32_t, std::shared_ptr<OrdMsg>> variants;
-  variants.emplace(0u, ord);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const auto dest = static_cast<types::ReplicaId>(i);
-    if (dest == id_) continue;
-    const uint32_t variant = adversary_->ProposalVariant(id_, dest, Now());
-    auto vit = variants.find(variant);
-    if (vit == variants.end()) {
-      ledger::TxBlock block;
-      block.v = ord->v;
-      block.set_n(ord->n);
-      block.set_prev_hash(ord->prev_hash);
-      std::vector<types::Transaction> txs = ord->txs;
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
-      }
-      block.set_txs(std::move(txs));
-      block.status.assign(block.BatchSize(), 1);
-      auto forged = std::make_shared<OrdMsg>();
-      forged->v = ord->v;
-      forged->n = ord->n;
-      forged->prev_hash = ord->prev_hash;
-      forged->txs = block.txs();
-      forged->sig = SignMaybeCorrupt(
-          ledger::OrderingDigest(ord->v, ord->n, block.Digest()));
-      vit = variants.emplace(variant, std::move(forged)).first;
-    }
-    GuardedSend(replicas_[i], vit->second);
-  }
+  SendProposal(ord, [&](uint32_t variant) {
+    ledger::TxBlock block;
+    block.v = ord->v;
+    block.set_n(ord->n);
+    block.set_prev_hash(ord->prev_hash);
+    std::vector<types::Transaction> txs = ord->txs;
+    PerturbFingerprints(txs, variant);
+    block.set_txs(std::move(txs));
+    block.status.assign(block.BatchSize(), 1);
+    auto forged = std::make_shared<OrdMsg>();
+    forged->v = ord->v;
+    forged->n = ord->n;
+    forged->prev_hash = ord->prev_hash;
+    forged->txs = block.txs();
+    forged->sig = SignMaybeCorrupt(
+        ledger::OrderingDigest(ord->v, ord->n, block.Digest()));
+    return forged;
+  });
 }
 
 // ------------------------------------------------------ follower: phase 1
@@ -391,16 +358,6 @@ void PrestigeReplica::DrainBufferedBlocks() {
     ledger::TxBlock block = std::move(it->second);
     buffered_commits_.erase(it);
     CommitBlock(std::move(block));
-  }
-}
-
-void PrestigeReplica::SendReplies(
-    const std::vector<std::shared_ptr<types::ClientReply>>& replies) {
-  if (clients_.empty()) return;
-  for (const auto& reply : replies) {
-    if (reply->pool < clients_.size()) {
-      GuardedSend(clients_[reply->pool], reply);
-    }
   }
 }
 

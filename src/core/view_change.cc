@@ -18,16 +18,8 @@ void PrestigeReplica::OnClientComplaint(runtime::NodeId from,
                                         const types::ClientComplaint& compt) {
   (void)from;
   ++metrics_.complaints_received;
+  if (ReplyIfCommitted(compt.tx, view_)) return;
   const uint64_t key = TxKey(compt.tx);
-  if (committed_tx_keys_.count(key) > 0) {
-    // Already committed; the client likely missed the replies. Re-serve
-    // the cached execution result from the session table.
-    if (compt.tx.pool < clients_.size()) {
-      GuardedSend(clients_[compt.tx.pool],
-                  delivery_.ReplyFor(compt.tx, view_));
-    }
-    return;
-  }
   auto existing = complaints_.find(key);
   if (existing != complaints_.end()) {
     // Re-complaint: if the previous escalation fizzled, watch again.
@@ -118,7 +110,7 @@ void PrestigeReplica::HandleComplaintTimer(uint64_t probe) {
   if (it == complaints_.end()) return;  // Committed in the meantime.
   it->second.escalated = true;  // Entry kept: peers' ConfVCs need it.
   const types::Transaction tx = it->second.tx;
-  if (committed_tx_keys_.count(key) > 0) {
+  if (Committed(key)) {
     ResolveComplaint(it);
     return;  // Leader was correct.
   }
@@ -180,8 +172,7 @@ void PrestigeReplica::OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
       // Support only if we saw the same complaint and it is still pending
       // (Algorithm 2 line 12-13), or it timed out on us already.
       const uint64_t key = TxKey(msg.tx);
-      support = complaints_.count(key) > 0 &&
-                committed_tx_keys_.count(key) == 0;
+      support = complaints_.count(key) > 0 && !Committed(key);
       break;
     }
     case VcReason::kTimeout:

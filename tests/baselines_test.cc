@@ -6,6 +6,7 @@
 #include "baselines/hotstuff/hotstuff_replica.h"
 #include "baselines/prosecutor/prosecutor.h"
 #include "baselines/sbft/sbft_replica.h"
+#include "core/replica.h"
 #include "harness/cluster.h"
 
 namespace prestige {
@@ -20,6 +21,7 @@ using util::Seconds;
 using HsCluster = Cluster<hotstuff::HotStuffReplica, hotstuff::HotStuffConfig>;
 using SbCluster = Cluster<sbft::SbftReplica, sbft::SbftConfig>;
 using PsCluster = Cluster<prosecutor::ProsecutorReplica, core::PrestigeConfig>;
+using PbCluster = Cluster<core::PrestigeReplica, core::PrestigeConfig>;
 
 WorkloadOptions SmallWorkload(uint64_t seed = 1) {
   WorkloadOptions w;
@@ -103,11 +105,15 @@ TEST(HotStuffTest, DeterministicRuns) {
 
 // ------------------------------------------------------------------- SBFT
 
-TEST(SbftTest, CommitsButSlowerThanLightweightCrypto) {
+sbft::SbftConfig SbConfig() {
   sbft::SbftConfig config;
   config.n = 4;
   config.batch_size = 100;
-  SbCluster cluster(config, SmallWorkload(9));
+  return config;
+}
+
+TEST(SbftTest, CommitsButSlowerThanLightweightCrypto) {
+  SbCluster cluster(SbConfig(), SmallWorkload(9));
   cluster.Start();
   cluster.RunFor(Seconds(3));
   EXPECT_GT(cluster.ClientCommitted(), 100);
@@ -115,9 +121,7 @@ TEST(SbftTest, CommitsButSlowerThanLightweightCrypto) {
 
 TEST(SbftTest, HeavyCryptoWeightReducesThroughput) {
   auto run = [](int weight) {
-    sbft::SbftConfig config;
-    config.n = 4;
-    config.batch_size = 100;
+    sbft::SbftConfig config = SbConfig();
     config.crypto_weight = weight;
     SbCluster cluster(config, SmallWorkload(11));
     cluster.Start();
@@ -125,6 +129,61 @@ TEST(SbftTest, HeavyCryptoWeightReducesThroughput) {
     return cluster.ClientCommitted();
   };
   EXPECT_GT(run(1), run(16));
+}
+
+TEST(SbftTest, QuietLeaderCausesTimeoutRotation) {
+  std::vector<types::FaultSpec> faults(4, types::FaultSpec::Honest());
+  faults[1] = types::FaultSpec::Quiet();  // View-1 leader is 1 % 4 = 1.
+  SbCluster cluster(SbConfig(), SmallWorkload(7), faults);
+  cluster.Start();
+  cluster.RunFor(Seconds(5));
+  // The system rotated past the quiet leader and committed.
+  EXPECT_GT(cluster.replica(0).view(), 1);
+  EXPECT_GT(cluster.ClientCommitted(), 200);
+}
+
+TEST(SbftTest, CrashedReplicaFiresNoTimers) {
+  std::vector<types::FaultSpec> faults(4, types::FaultSpec::Honest());
+  faults[1] = types::FaultSpec::Crash(Seconds(1));
+  SbCluster cluster(SbConfig(), SmallWorkload(7), faults);
+  cluster.Start();
+  // A crashed replica neither rotates views nor proposes.
+  for (int second = 1; second <= 6; ++second) {
+    cluster.RunFor(Seconds(1));
+    EXPECT_EQ(cluster.replica(1).view(), 1) << "at " << second << " s";
+  }
+}
+
+// ------------------------------------------------------------ request pool
+
+// Followers buffer every broadcast request and never propose, so only the
+// prune after each commit keeps their pools from growing with the run. The
+// bound is the prune threshold plus one retry scan of every closed-loop
+// client's outstanding request.
+template <typename ClusterT, typename Config>
+void ExpectPoolsBounded(const Config& config, const char* protocol) {
+  const WorkloadOptions workload = SmallWorkload(19);
+  ClusterT cluster(config, workload);
+  cluster.Start();
+  const size_t bound = 8 * config.batch_size + 1024 +
+                       workload.num_pools * workload.clients_per_pool;
+  for (int second = 1; second <= 8; ++second) {
+    cluster.RunFor(Seconds(1));
+    for (uint32_t i = 0; i < config.n; ++i) {
+      EXPECT_LE(cluster.replica(i).pending_pool_size(), bound)
+          << protocol << " replica " << i << " at " << second << " s";
+    }
+  }
+  EXPECT_GT(cluster.ClientCommitted(), 1000) << protocol;
+}
+
+TEST(RequestPoolTest, EveryProtocolBoundsItsPool) {
+  core::PrestigeConfig prestige;
+  prestige.n = 4;
+  prestige.batch_size = 100;
+  ExpectPoolsBounded<PbCluster>(prestige, "prestigebft");
+  ExpectPoolsBounded<HsCluster>(HsConfig(), "hotstuff");
+  ExpectPoolsBounded<SbCluster>(SbConfig(), "sbft");
 }
 
 // -------------------------------------------------------------- Prosecutor
