@@ -1,15 +1,19 @@
 // Micro-benchmarks (google-benchmark): crypto substrate, reputation engine,
-// proof-of-work, and simulator hot paths. Not a paper figure — these bound
-// the constants the cost model abstracts.
+// proof-of-work, simulator hot paths, and the socket backend's per-message
+// stages (wire encode, framing, reassembly). Not a paper figure — these
+// bound the constants the cost model abstracts.
 
 #include <benchmark/benchmark.h>
 
 #include "app/kv_service.h"
+#include "core/messages.h"
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "crypto/pow.h"
 #include "crypto/quorum_cert.h"
 #include "crypto/sha256.h"
+#include "net/frame.h"
+#include "net/wire.h"
 #include "reputation/reputation_engine.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -163,11 +167,9 @@ void BM_TransactionDigest(benchmark::State& state) {
 }
 BENCHMARK(BM_TransactionDigest);
 
-// The block digest the replication round takes 7 times per block (leader
-// Propose, followers' OnOrd and ValidateAndAppendTxBlock): one batch of 500
-// KV Puts, the perfbench batch size. Built at run time from a seeded Rng so
-// nothing folds to a constant.
-void BM_BatchDigest(benchmark::State& state) {
+/// One batch of 500 KV Puts, the perfbench batch size. Built at run time
+/// from a seeded Rng so nothing folds to a constant.
+std::vector<types::Transaction> SeededPutBatch() {
   util::Rng rng(11);
   std::vector<types::Transaction> txs(500);
   for (size_t i = 0; i < txs.size(); ++i) {
@@ -178,6 +180,13 @@ void BM_BatchDigest(benchmark::State& state) {
     tx.fingerprint = rng.NextUint64();
     tx.command = app::kv::EncodePut(rng.NextBounded(1024), rng.NextUint64());
   }
+  return txs;
+}
+
+// The block digest the replication round takes 7 times per block (leader
+// Propose, followers' OnOrd and ValidateAndAppendTxBlock).
+void BM_BatchDigest(benchmark::State& state) {
+  const std::vector<types::Transaction> txs = SeededPutBatch();
   for (auto _ : state) {
     benchmark::DoNotOptimize(types::BatchDigest(txs));
   }
@@ -185,6 +194,67 @@ void BM_BatchDigest(benchmark::State& state) {
                           static_cast<int64_t>(txs.size()));
 }
 BENCHMARK(BM_BatchDigest);
+
+// The socket backend's per-message stages on the leader's Ord of one
+// 500-Put batch (about 28.6 KB on the wire): wire encode, framing (fragment
+// headers + CRC32C), and the receiver's validation and reassembly
+// (CRC32C again). Bytes processed are the encoded message's.
+core::OrdMsg SeededOrd() {
+  core::OrdMsg ord;
+  ord.v = 3;
+  ord.n = 77;
+  ord.prev_hash = crypto::Sha256::Hash(std::string("prev"));
+  ord.txs = SeededPutBatch();
+  ord.sig.signer = 1;
+  ord.sig.mac = crypto::Sha256::Hash(std::string("sig"));
+  return ord;
+}
+
+std::vector<uint8_t> EncodedOrd() {
+  std::vector<uint8_t> bytes;
+  net::EncodeMessage(SeededOrd(), &bytes);
+  return bytes;
+}
+
+void BM_EncodeOrd(benchmark::State& state) {
+  const core::OrdMsg ord = SeededOrd();
+  std::vector<uint8_t> bytes;
+  for (auto _ : state) {
+    bytes.clear();
+    benchmark::DoNotOptimize(net::EncodeMessage(ord, &bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_EncodeOrd);
+
+void BM_FrameSplit(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = EncodedOrd();
+  net::FrameWriter writer(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(writer.Split(1, bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FrameSplit);
+
+void BM_FrameAccept(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = EncodedOrd();
+  const net::FrameWriter::Frames frames = net::FrameWriter(0).Split(1, bytes);
+  net::FrameAssembler assembler(1);
+  std::vector<net::FrameAssembler::Complete> out;
+  for (auto _ : state) {
+    out.clear();
+    for (const std::vector<uint8_t>& frame : frames) {
+      assembler.Accept(frame.data(), frame.size(), &out);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FrameAccept);
 
 }  // namespace
 }  // namespace prestige

@@ -8,34 +8,36 @@
 namespace prestige {
 namespace net {
 
-uint32_t Fnv1a32(const uint8_t* data, size_t len) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= data[i];
-    hash *= 16777619u;
+namespace {
+
+// Header layout (little-endian): magic u32 @0, version u8 @4, flags u8 @5,
+// src u32 @6, dst u32 @10, seq u64 @14, frame_id u32 @22, frag_index u16
+// @26, frag_count u16 @28, payload_len u32 @30, total_len u32 @34,
+// checksum u32 @38.
+constexpr size_t kDstOffset = 10;
+constexpr size_t kSeqOffset = 14;
+
+void PutLe(uint8_t* out, size_t offset, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out[offset + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
   }
-  return hash;
 }
 
-std::vector<uint8_t> EncodeFrame(const FrameHeader& header,
-                                 const uint8_t* payload, size_t payload_len) {
-  Writer w;
-  w.PutU32(kFrameMagic);
-  w.PutU8(kFrameVersion);
-  w.PutU8(0);  // flags, reserved
-  w.PutU32(header.src);
-  w.PutU32(header.dst);
-  w.PutU64(header.seq);
-  w.PutU32(header.frame_id);
-  w.PutU16(header.frag_index);
-  w.PutU16(header.frag_count);
-  w.PutU32(static_cast<uint32_t>(payload_len));
-  w.PutU32(header.total_len);
-  w.PutU32(Fnv1a32(payload, payload_len));
-  std::vector<uint8_t> out = w.Take();
-  out.insert(out.end(), payload, payload + payload_len);
-  return out;
+/// Every header field except dst and seq, which AddressTo writes.
+void PutHeader(const FrameHeader& h, uint8_t* out) {
+  PutLe(out, 0, kFrameMagic, 4);
+  out[4] = kFrameVersion;
+  out[5] = 0;  // flags, reserved
+  PutLe(out, 6, h.src, 4);
+  PutLe(out, 22, h.frame_id, 4);
+  PutLe(out, 26, h.frag_index, 2);
+  PutLe(out, 28, h.frag_count, 2);
+  PutLe(out, 30, h.payload_len, 4);
+  PutLe(out, 34, h.total_len, 4);
+  PutLe(out, 38, h.checksum, 4);
 }
+
+}  // namespace
 
 bool DecodeFrameHeader(const uint8_t* data, size_t len, FrameHeader* out) {
   if (data == nullptr || len < kFrameHeaderBytes) return false;
@@ -75,29 +77,46 @@ void FrameCounters::MergeFrom(const FrameCounters& other) {
 
 // -------------------------------------------------------------- FrameWriter
 
-std::vector<std::vector<uint8_t>> FrameWriter::Split(
-    uint32_t dst, const std::vector<uint8_t>& payload) {
-  std::vector<std::vector<uint8_t>> frames;
+FrameWriter::Frames FrameWriter::Frame(const std::vector<uint8_t>& payload) {
+  Frames frames;
   if (payload.empty() || payload.size() > kMaxMessageBytes) return frames;
 
   const size_t frag_count =
       (payload.size() + kMaxFragPayload - 1) / kMaxFragPayload;
-  const uint32_t frame_id = next_frame_id_++;
-  uint64_t& seq = next_seq_[dst];
-
+  frames.resize(frag_count);
   FrameHeader h;
   h.src = src_;
-  h.dst = dst;
-  h.frame_id = frame_id;
+  h.frame_id = next_frame_id_++;
   h.frag_count = static_cast<uint16_t>(frag_count);
   h.total_len = static_cast<uint32_t>(payload.size());
   for (size_t i = 0; i < frag_count; ++i) {
     const size_t offset = i * kMaxFragPayload;
     const size_t len = std::min(kMaxFragPayload, payload.size() - offset);
+    const uint8_t* fragment = payload.data() + offset;
     h.frag_index = static_cast<uint16_t>(i);
-    h.seq = ++seq;
-    frames.push_back(EncodeFrame(h, payload.data() + offset, len));
+    h.payload_len = static_cast<uint32_t>(len);
+    h.checksum = Crc32c(fragment, len);
+    std::vector<uint8_t>& datagram = frames[i];
+    datagram.resize(kFrameHeaderBytes + len);
+    PutHeader(h, datagram.data());
+    std::memcpy(datagram.data() + kFrameHeaderBytes, fragment, len);
   }
+  return frames;
+}
+
+void FrameWriter::AddressTo(uint32_t dst, Frames* frames) {
+  if (frames->empty()) return;
+  uint64_t& seq = next_seq_[dst];
+  for (std::vector<uint8_t>& datagram : *frames) {
+    PutLe(datagram.data(), kDstOffset, dst, 4);
+    PutLe(datagram.data(), kSeqOffset, ++seq, 8);
+  }
+}
+
+FrameWriter::Frames FrameWriter::Split(uint32_t dst,
+                                       const std::vector<uint8_t>& payload) {
+  Frames frames = Frame(payload);
+  AddressTo(dst, &frames);
   return frames;
 }
 
@@ -171,7 +190,7 @@ void FrameAssembler::Accept(const uint8_t* data, size_t len,
     ++counters_.length_drops;
     return;
   }
-  if (Fnv1a32(payload, payload_len) != h.checksum) {
+  if (Crc32c(payload, payload_len) != h.checksum) {
     ++counters_.checksum_drops;
     return;
   }

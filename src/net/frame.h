@@ -6,7 +6,15 @@
 // layer above already retransmits, so frames are never re-sent by this
 // layer), and fragmentation coordinates: messages larger than one datagram
 // (big SyncResp bodies, large batches) are split into frag_count fragments
-// sharing a frame_id and reassembled on the receiver.
+// sharing a frame_id and reassembled on the receiver. Each fragment's
+// payload carries a CRC32C (frame version 2; version 1 used FNV-1a, so an
+// old sender's datagram is a header drop, not a checksum drop).
+//
+// A message is framed once however many nodes receive it: FrameWriter::Frame
+// builds and checksums the fragments, and FrameWriter::AddressTo stamps only
+// the two per-copy header fields (dst, seq) before each destination's
+// sends. The checksum covers the payload alone, so re-addressing a frame
+// never invalidates it.
 //
 // The decode path is hostile-input safe: short datagrams, bad magic,
 // version/dst mismatches, length lies, checksum failures, and reassembly
@@ -26,7 +34,7 @@ namespace prestige {
 namespace net {
 
 constexpr uint32_t kFrameMagic = 0x54464250;  ///< "PBFT" little-endian.
-constexpr uint8_t kFrameVersion = 1;
+constexpr uint8_t kFrameVersion = 2;
 constexpr size_t kFrameHeaderBytes = 42;
 /// Datagram budget: below the 64 KiB UDP ceiling with headroom for the
 /// kernel's own headers.
@@ -42,21 +50,20 @@ struct FrameHeader {
   uint32_t src = 0;        ///< Sending node id (claimed; see socket_env.h).
   uint32_t dst = 0;        ///< Intended receiving node id.
   uint64_t seq = 0;        ///< Per-(src, dst) datagram counter, from 1.
-  uint32_t frame_id = 0;   ///< Per-src message counter (reassembly key).
+  uint32_t frame_id = 0;   ///< Per-src message counter (reassembly key);
+                           ///< every copy of one message shares it.
   uint16_t frag_index = 0;
   uint16_t frag_count = 1;
   uint32_t payload_len = 0;  ///< Payload bytes in THIS datagram.
   uint32_t total_len = 0;    ///< Whole message bytes across all fragments.
-  uint32_t checksum = 0;     ///< FNV-1a over this datagram's payload.
+  uint32_t checksum = 0;     ///< CRC32C over this datagram's payload.
 };
 
-/// FNV-1a 32-bit — integrity against truncation/corruption, not an
-/// authenticator (message-level MACs provide authentication).
-uint32_t Fnv1a32(const uint8_t* data, size_t len);
-
-/// Serializes `header` + `payload` into one datagram buffer.
-std::vector<uint8_t> EncodeFrame(const FrameHeader& header,
-                                 const uint8_t* payload, size_t payload_len);
+/// CRC32C (Castagnoli; "123456789" -> 0xE3069283) — integrity against
+/// truncation/corruption, not an authenticator (message-level MACs provide
+/// authentication). Runs on the SSE4.2 crc32 instruction when CPUID
+/// reports it, else on a portable table; both give the same value.
+uint32_t Crc32c(const uint8_t* data, size_t len);
 
 /// Parses a datagram's header. Returns false on short input, bad magic, or
 /// unsupported version; performs no payload validation (FrameAssembler's
@@ -88,13 +95,23 @@ struct FrameCounters {
 /// per-source frame_id counter for one local node.
 class FrameWriter {
  public:
+  using Frames = std::vector<std::vector<uint8_t>>;
+
   explicit FrameWriter(uint32_t src) : src_(src) {}
 
-  /// Splits `payload` into ready-to-send datagrams addressed to `dst`.
-  /// Returns an empty vector when payload is empty or over
-  /// kMaxMessageBytes; SocketRuntime counts such a send in send_errors.
-  std::vector<std::vector<uint8_t>> Split(uint32_t dst,
-                                          const std::vector<uint8_t>& payload);
+  /// Frames `payload` for any number of destinations: one datagram per
+  /// fragment, checksummed, under one fresh frame_id, with dst and seq
+  /// left for AddressTo. Returns no frames when payload is empty or over
+  /// kMaxMessageBytes; SocketRuntime counts each copy of such a send in
+  /// send_errors.
+  Frames Frame(const std::vector<uint8_t>& payload);
+
+  /// Readies `frames` (from Frame) for one destination: writes `dst` and
+  /// the next per-(src, dst) sequence numbers into their headers.
+  void AddressTo(uint32_t dst, Frames* frames);
+
+  /// Frame + AddressTo for a single destination.
+  Frames Split(uint32_t dst, const std::vector<uint8_t>& payload);
 
  private:
   uint32_t src_;

@@ -6,8 +6,8 @@
 //     node's callbacks (OnStart, OnMessage, OnTimer) run on that thread,
 //     preserving the single-threaded-per-node contract of runtime::Env;
 //   * the monotonic run clock (epoch at Start()) and the one wall-clock Env:
-//     timer service, per-node RNG stream, and Send, which hands every copy
-//     to the transport;
+//     timer service, per-node RNG stream, and Send, which hands the message
+//     and its whole target list to the transport in one call;
 //   * the in-process mailbox: a mutex-guarded deque per node, drained in one
 //     swap per wakeup, plus the delivered counter (bumped once per batch);
 //   * one dispatch step per drained batch: OnMessage directly or, with a
@@ -18,11 +18,11 @@
 //   * Start/Stop/join.
 //
 // A transport derives from EventLoop and supplies the three hooks at the
-// bottom of the class: Transmit (one copy of Env::Send), Wake (pop a node's
-// loop out of its wait) and Wait (sleep until there is work, then hand over
-// a batch). ThreadedRuntime (threaded_env.h) is the in-process transport,
-// SocketRuntime (socket_env.h) the UDP one; each also picks its nodes' RNG
-// derivation.
+// bottom of the class: Transmit (one Env::Send with all its targets), Wake
+// (pop a node's loop out of its wait) and Wait (sleep until there is work,
+// then hand over a batch). ThreadedRuntime (threaded_env.h) is the
+// in-process transport, SocketRuntime (socket_env.h) the UDP one; each also
+// picks its nodes' RNG derivation.
 //
 // Timer state is owned by the node's loop thread: SetTimer/CancelTimer are
 // only legal from the owning node's callbacks (runtime/env.h), so none of it
@@ -127,10 +127,10 @@ class EventLoop {
     NodeId id() const override { return id_; }
 
     void Send(NodeId to, MessagePtr msg) override {
-      loop_->Transmit(slot_, to, msg);
+      loop_->Transmit(slot_, &to, 1, msg);
     }
     void Send(const std::vector<NodeId>& targets, MessagePtr msg) override {
-      for (NodeId to : targets) loop_->Transmit(slot_, to, msg);
+      loop_->Transmit(slot_, targets.data(), targets.size(), msg);
     }
 
     TimerId SetTimer(util::DurationMicros delay, uint64_t tag) override;
@@ -199,8 +199,11 @@ class EventLoop {
 
   // ------------------------------------------------------ transport hooks
 
-  /// Carries one copy of Env::Send. Runs on `from`'s loop thread.
-  virtual void Transmit(Slot* from, NodeId to, const MessagePtr& msg) = 0;
+  /// Carries one Env::Send: a copy of `msg` to each of the `count` ids at
+  /// `targets`, in order, so a transport can do per-message work (encoding,
+  /// framing) once for all copies. Runs on `from`'s loop thread.
+  virtual void Transmit(Slot* from, const NodeId* targets, size_t count,
+                        const MessagePtr& msg) = 0;
 
   /// Pops `slot`'s loop out of Wait. Called after a mailbox post, and —
   /// with `mu` taken and released first, so a loop that checked its

@@ -122,37 +122,40 @@ void SocketRuntime::Wake(Slot* slot) {
   (void)!::write(static_cast<Port*>(slot)->wake_write, &byte, 1);
 }
 
-void SocketRuntime::Transmit(Slot* slot, NodeId to, const MessagePtr& msg) {
+void SocketRuntime::Transmit(Slot* slot, const NodeId* targets, size_t count,
+                             const MessagePtr& msg) {
   Port* from = static_cast<Port*>(slot);
   std::vector<uint8_t> payload;
   if (!net::EncodeMessage(*msg, &payload)) {
     // No wire form: deliverable only within this process.
-    if (!Post(to, from->env.id(), msg)) {
-      ++from->send_counters.unserializable_drops;
+    for (size_t i = 0; i < count; ++i) {
+      if (!Post(targets[i], from->env.id(), msg)) {
+        ++from->send_counters.unserializable_drops;
+      }
     }
     return;
   }
-  const auto peer = peers_.find(to);
-  if (peer == peers_.end()) {
-    ++from->send_counters.send_errors;
-    return;
-  }
-  // Every copy — self-sends and co-hosted destinations included — goes
-  // through the kernel, so one process per node and n nodes per process
-  // exercise the identical transport path.
-  const std::vector<std::vector<uint8_t>> frames =
-      from->writer.Split(to, payload);
-  if (frames.empty()) {
-    // Over net::kMaxMessageBytes: the framing refuses it.
-    ++from->send_counters.send_errors;
-    return;
-  }
-  for (const std::vector<uint8_t>& frame : frames) {
-    if (from->socket.SendTo(peer->second, frame.data(), frame.size())) {
-      ++from->send_counters.frames_sent;
-      from->send_counters.bytes_sent += frame.size();
-    } else {
+  // One frame set for every copy. Empty when the message is over
+  // net::kMaxMessageBytes: the framing refuses it.
+  net::FrameWriter::Frames frames = from->writer.Frame(payload);
+  for (size_t i = 0; i < count; ++i) {
+    const NodeId to = targets[i];
+    const auto peer = peers_.find(to);
+    if (peer == peers_.end() || frames.empty()) {
       ++from->send_counters.send_errors;
+      continue;
+    }
+    // Every copy — self-sends and co-hosted destinations included — goes
+    // through the kernel, so one process per node and n nodes per process
+    // exercise the identical transport path.
+    from->writer.AddressTo(to, &frames);
+    for (const std::vector<uint8_t>& frame : frames) {
+      if (from->socket.SendTo(peer->second, frame.data(), frame.size())) {
+        ++from->send_counters.frames_sent;
+        from->send_counters.bytes_sent += frame.size();
+      } else {
+        ++from->send_counters.send_errors;
+      }
     }
   }
 }

@@ -4,11 +4,11 @@
 //
 // Every local node owns a bound, non-blocking UDP socket and speaks the
 // net/ framing protocol (net/frame.h) over it: Send serializes the message
-// (net/wire.h), splits it into checksummed datagram fragments, and writes
-// them straight to the destination's address from the peer book. This
-// works identically whether the destination lives in the same process,
-// another process on this host, or another machine — all traffic crosses
-// the kernel's network stack.
+// (net/wire.h), splits it into CRC32C-checksummed datagram fragments, and
+// writes them straight to each destination's address from the peer book.
+// This works identically whether the destination lives in the same
+// process, another process on this host, or another machine — all traffic
+// crosses the kernel's network stack.
 //
 // Transport details:
 //   * each loop waits in poll(2) over its node's socket and a wake pipe,
@@ -18,6 +18,11 @@
 //     (header/length/checksum validation, bounded reassembly) and then the
 //     bounds-checked wire decoder. Malformed input at either layer becomes
 //     a counted drop (see net::FrameCounters), never UB or a crash;
+//   * one encode and one frame set per Send, however many targets it
+//     names: a broadcast serializes the message once and builds and
+//     checksums each fragment once; per destination only the header's dst
+//     and per-(src, dst) seq are rewritten before sendto. Every copy of one
+//     message shares its frame_id (reassembly is keyed per receiver);
 //   * messages with no wire form (e.g. client::SubmitRequestMsg, which
 //     carries a closure) fall back to the local mailbox when the
 //     destination node lives in this runtime, and are counted and dropped
@@ -92,7 +97,8 @@ class SocketRuntime : public EventLoop {
   /// loop-thread state except the pipe's write end.
   struct Port;
 
-  void Transmit(Slot* from, NodeId to, const MessagePtr& msg) override;
+  void Transmit(Slot* from, const NodeId* targets, size_t count,
+                const MessagePtr& msg) override;
   void Wake(Slot* slot) override;
   bool Wait(Slot* slot, util::TimeMicros next_deadline,
             Batch* batch) override;

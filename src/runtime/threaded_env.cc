@@ -16,8 +16,9 @@ NodeId ThreadedRuntime::AddNode(Node* node) {
   return id;
 }
 
-void ThreadedRuntime::Transmit(Slot* from, NodeId to, const MessagePtr& msg) {
-  Post(to, from->env.id(), msg);
+void ThreadedRuntime::Transmit(Slot* from, const NodeId* targets,
+                               size_t count, const MessagePtr& msg) {
+  for (size_t i = 0; i < count; ++i) Post(targets[i], from->env.id(), msg);
 }
 
 void ThreadedRuntime::Wake(Slot* slot) {

@@ -45,7 +45,8 @@ class ThreadedRuntime : public EventLoop {
     std::condition_variable cv;
   };
 
-  void Transmit(Slot* from, NodeId to, const MessagePtr& msg) override;
+  void Transmit(Slot* from, const NodeId* targets, size_t count,
+                const MessagePtr& msg) override;
   void Wake(Slot* slot) override;
   bool Wait(Slot* slot, util::TimeMicros next_deadline,
             Batch* batch) override;

@@ -6,7 +6,9 @@
 //     input must yield nullptr, never UB (the ASan/UBSan CI matrix runs
 //     this suite, which is what makes the adversarial corpus meaningful);
 //   * net::FrameWriter / net::FrameAssembler — datagram framing with
-//     fragmentation, per-(src,dst) sequence tracking, and counted drops.
+//     fragmentation, per-(src,dst) sequence tracking, and counted drops;
+//   * net::Crc32c — the frame checksum: known vectors, and the SSE4.2
+//     kernel against the portable one.
 //
 // The roundtrip strategy avoids per-field comparisons: decode(encode(m))
 // must re-encode to the identical byte string, which proves full fidelity
@@ -25,9 +27,11 @@
 #include "core/messages.h"
 #include "crypto/sha256.h"
 #include "net/address.h"
+#include "net/crc32c_kernel.h"
 #include "net/frame.h"
 #include "net/wire.h"
 #include "types/client_messages.h"
+#include "util/random.h"
 
 namespace prestige {
 namespace net {
@@ -539,8 +543,42 @@ TEST(FrameTest, ShortAndGarbageDatagramsAreHeaderDrops) {
   assembler.Accept(garbage.data(), garbage.size(), &out);  // Bad magic.
   assembler.Accept(garbage.data(), 5, &out);               // Too short.
   assembler.Accept(garbage.data(), 0, &out);               // Empty.
+  // A well-formed frame from a version-1 (FNV-1a) sender: refused at the
+  // header, before its checksum is ever compared.
+  FrameWriter writer(1);
+  std::vector<uint8_t> old_version = writer.Split(2, Payload(64))[0];
+  old_version[4] = 1;  // The version byte.
+  assembler.Accept(old_version.data(), old_version.size(), &out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(assembler.counters().header_drops, 3u);
+  EXPECT_EQ(assembler.counters().header_drops, 4u);
+  EXPECT_EQ(assembler.counters().checksum_drops, 0u);
+}
+
+TEST(FrameTest, OneFrameSetAddressedToSeveralDestinations) {
+  // Frame once, address the same datagrams to two receivers in turn: each
+  // reassembles the message with its own gap-free sequence, and the
+  // payload checksum survives the header rewrite.
+  FrameWriter writer(1);
+  const std::vector<uint8_t> payload = Payload(kMaxFragPayload + 500);
+  FrameWriter::Frames frames = writer.Frame(payload);
+  ASSERT_EQ(frames.size(), 2u);
+  for (uint32_t dst : {2u, 3u, 2u}) {
+    writer.AddressTo(dst, &frames);
+    FrameHeader h;
+    ASSERT_TRUE(DecodeFrameHeader(frames[1].data(), frames[1].size(), &h));
+    EXPECT_EQ(h.dst, dst);
+  }
+  // dst 2 was addressed twice: its second copy carries seqs 3 and 4.
+  FrameAssembler second_copy(2);
+  std::vector<FrameAssembler::Complete> out;
+  for (const auto& datagram : frames) {
+    second_copy.Accept(datagram.data(), datagram.size(), &out);
+  }
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].payload, payload);
+  EXPECT_EQ(second_copy.counters().seq_gaps, 2u);  // Seqs 1-2 never seen.
+  EXPECT_EQ(second_copy.counters().checksum_drops, 0u);
+  EXPECT_TRUE(writer.Frame({}).empty());
 }
 
 TEST(FrameTest, WrongDestinationIsCountedDrop) {
@@ -617,6 +655,63 @@ TEST(FrameTest, CorruptedDatagramFuzzNeverCrashes) {
     }
   }
 }
+
+// ------------------------------------------------------------------ CRC32C
+
+uint32_t PortableCrc(const uint8_t* data, size_t len) {
+  return ~internal::Crc32cPortable(~0u, data, len);
+}
+
+TEST(Crc32cKernelTest, KnownVectors) {
+  const std::string check = "123456789";
+  const auto* digits = reinterpret_cast<const uint8_t*>(check.data());
+  // RFC 3720 (iSCSI) appendix B.4 vectors, 32 bytes each.
+  std::vector<uint8_t> ascending(32), descending(32);
+  for (size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::vector<uint8_t> zeros(32, 0x00), ones(32, 0xff);
+  for (auto crc : {PortableCrc, Crc32c}) {
+    EXPECT_EQ(crc(digits, check.size()), 0xE3069283u);
+    EXPECT_EQ(crc(nullptr, 0), 0u);
+    EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending.data(), ascending.size()), 0x46DD794Eu);
+    EXPECT_EQ(crc(descending.data(), descending.size()), 0x113FDB5Cu);
+  }
+}
+
+#if PRESTIGE_CRC32C_SSE42
+
+TEST(Crc32cKernelTest, Sse42MatchesPortable) {
+  if (!internal::Sse42Supported()) {
+    GTEST_SKIP() << "this CPU lacks SSE4.2 (CPUID), so only the portable "
+                    "kernel can run here";
+  }
+  util::Rng rng(2027);
+  std::vector<uint8_t> buf(1100 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint64());
+  // Every start alignment and length: heads before the first 8-byte
+  // boundary, whole words, and tails.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const uint8_t* data = buf.data() + offset;
+      ASSERT_EQ(internal::Crc32cSse42(~0u, data, len),
+                internal::Crc32cPortable(~0u, data, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+#else
+
+TEST(Crc32cKernelTest, Sse42MatchesPortable) {
+  GTEST_SKIP() << "the SSE4.2 kernel is x86-64-only and not built for this "
+                  "target";
+}
+
+#endif  // PRESTIGE_CRC32C_SSE42
 
 // ------------------------------------------------------------ cluster config
 

@@ -1,6 +1,7 @@
 // Tests for the socket backend: SocketRuntime primitives (real loopback
 // UDP transport, timers, local fallback for unserializable messages, an
-// oversized send counted as a send error), live-loop hostile-datagram
+// oversized send counted as a send error, one broadcast framed once and
+// addressed to every target), live-loop hostile-datagram
 // injection, and the cross-backend equivalence run — the same fault-free
 // scenario on the simulator, the threaded runtime, and the socket runtime
 // must all commit work and pass the same safety sweep — and the process
@@ -243,6 +244,105 @@ TEST(SocketRuntimeTest, OversizedMessageIsACountedSendError) {
   const net::FrameCounters received = runtime.node_net_stats(0);
   EXPECT_EQ(received.length_drops, 0u);
   EXPECT_EQ(received.decode_drops, 0u);
+}
+
+// ---------------------------------------------------- one-encode broadcast
+
+/// Collects every wire-carried message it receives, re-encoded, so the test
+/// can compare copies byte for byte.
+class RecordingNode : public Node {
+ public:
+  void OnMessage(NodeId, const MessagePtr& msg) override {
+    std::vector<uint8_t> bytes;
+    if (!net::EncodeMessage(*msg, &bytes)) return;
+    received_.push_back(std::move(bytes));
+    count_.fetch_add(1, std::memory_order_release);
+  }
+  int count() const { return count_.load(std::memory_order_acquire); }
+  /// Loop-thread state; read after Stop() only.
+  const std::vector<std::vector<uint8_t>>& received() const {
+    return received_;
+  }
+
+ private:
+  std::vector<std::vector<uint8_t>> received_;
+  std::atomic<int> count_{0};
+};
+
+/// Broadcasts `msg` to `targets` in one Send each time the test raises
+/// `rounds`; polls the request on a 1 ms timer, so every Send runs on the
+/// node's own loop thread.
+class BroadcasterNode : public RecordingNode {
+ public:
+  BroadcasterNode(std::vector<NodeId> targets, MessagePtr msg)
+      : targets_(std::move(targets)), msg_(std::move(msg)) {}
+  void OnStart() override { SetTimer(Millis(1), 0); }
+  void OnTimer(uint64_t) override {
+    for (; sent_ < rounds.load(std::memory_order_acquire); ++sent_) {
+      Send(targets_, msg_);
+    }
+    SetTimer(Millis(1), 0);
+  }
+  std::atomic<int> rounds{0};
+
+ private:
+  std::vector<NodeId> targets_;
+  MessagePtr msg_;
+  int sent_ = 0;
+};
+
+TEST(SocketRuntimeTest, BroadcastEncodesOnceAndEveryCopyArrives) {
+  // A message just over two fragments' worth, so each copy is 3 datagrams.
+  auto batch = std::make_shared<types::ClientBatch>();
+  types::Transaction tx;
+  tx.client_seq = 1;
+  tx.command.assign(2 * net::kMaxFragPayload + 1000, 0x3c);
+  batch->txs.push_back(std::move(tx));
+  std::vector<uint8_t> original;
+  ASSERT_TRUE(net::EncodeMessage(*batch, &original));
+  ASSERT_GT(original.size(), 2 * net::kMaxFragPayload);
+  ASSERT_LE(original.size(), 3 * net::kMaxFragPayload);
+
+  // Self, two peers, and an id with no peer-book entry.
+  constexpr NodeId kUnknown = 7;
+  SocketRuntime runtime(3);
+  BroadcasterNode sender({0, 1, 2, kUnknown}, batch);
+  RecordingNode peer1, peer2;
+  std::string error;
+  ASSERT_TRUE(runtime.AddNode(&sender, 0, harness::LoopbackAny(), &error));
+  ASSERT_TRUE(runtime.AddNode(&peer1, 1, harness::LoopbackAny(), &error));
+  ASSERT_TRUE(runtime.AddNode(&peer2, 2, harness::LoopbackAny(), &error));
+  const RecordingNode* receivers[] = {&sender, &peer1, &peer2};
+  auto all_have = [&](int n) {
+    for (const RecordingNode* r : receivers) {
+      if (r->count() < n) return false;
+    }
+    return true;
+  };
+  runtime.Start();
+  sender.rounds.store(1, std::memory_order_release);
+  EXPECT_TRUE(SpinUntil([&] { return all_have(1); }, 5000));
+  sender.rounds.store(2, std::memory_order_release);
+  EXPECT_TRUE(SpinUntil([&] { return all_have(2); }, 5000));
+  runtime.Stop();
+
+  for (NodeId id = 0; id < 3; ++id) {
+    const RecordingNode* r = receivers[id];
+    ASSERT_EQ(r->received().size(), 2u) << "node " << id;
+    for (const auto& bytes : r->received()) EXPECT_EQ(bytes, original);
+    const net::FrameCounters c = runtime.node_net_stats(id);
+    EXPECT_EQ(c.messages_assembled, 2u) << "node " << id;
+    // The second broadcast's sequences continue the first's.
+    EXPECT_EQ(c.seq_gaps, 0u) << "node " << id;
+    EXPECT_EQ(c.seq_out_of_order, 0u) << "node " << id;
+    EXPECT_EQ(c.checksum_drops, 0u) << "node " << id;
+    EXPECT_EQ(c.length_drops + c.frag_drops + c.decode_drops, 0u);
+  }
+  // Two broadcasts of 3 datagrams to each of the 3 known targets; the
+  // unknown id is one send error per broadcast.
+  const net::FrameCounters sent = runtime.node_net_stats(0);
+  EXPECT_EQ(sent.frames_sent, 2u * 3u * 3u);
+  EXPECT_EQ(sent.send_errors, 2u);
 }
 
 // ----------------------------------------------- live hostile datagrams
