@@ -6,10 +6,14 @@
 // executed a second time (the dsnet-style per-client OpNum / reply-cache
 // discipline).
 //
-// Dedup metadata is exact and tiny: a contiguous floor ("every seq <= floor
-// executed") plus a sparse set of executed seqs above it — pools issue
-// seqs contiguously, so the sparse set only holds the current out-of-order
-// window. Cached reply *bodies* are the bounded part: they are evicted at
+// It is the replica's one record of decided requests: the request pool and
+// the complaint paths ask it too (ReplicaBase::Committed).
+//
+// Dedup metadata is exact: a contiguous floor ("every seq <= floor
+// executed") plus a sparse set of executed seqs above it. A pool that
+// issues seqs contiguously keeps the sparse set to its current
+// out-of-order window; a client sending sparse seqs grows it by one entry
+// per request. Cached reply *bodies* are the bounded part: they are evicted at
 // checkpoint boundaries once older than the retain window, after which a
 // duplicate is still detected but answered with ExecStatus::kStaleDup
 // (committed, result no longer available). Eviction is driven purely by

@@ -318,17 +318,16 @@ void PrestigeReplica::OnTimer(uint64_t tag) {
             inspection_timer_ = 0;
             inspecting_ = false;
           }
+          // Deterministic pick: the lowest (pool, seq) still undecided.
           const types::Transaction* evidence = nullptr;
-          uint64_t evidence_key = 0;
-          for (const auto& [key, state] : complaints_) {
-            if (Committed(key)) continue;
-            if (evidence == nullptr || key < evidence_key) {
+          for (const auto& [id, state] : complaints_) {
+            if (Committed(state.tx)) continue;
+            if (evidence == nullptr || id < IdOf(*evidence)) {
               evidence = &state.tx;
-              evidence_key = key;
             }
           }
           if (evidence == nullptr && has_attack_complaint_) {
-            if (!Committed(TxKey(attack_complaint_tx_))) {
+            if (!Committed(attack_complaint_tx_)) {
               evidence = &attack_complaint_tx_;
             } else {
               has_attack_complaint_ = false;
@@ -427,7 +426,7 @@ util::Status PrestigeReplica::ValidateAndAppendTxBlock(
   DeliverCommitted(block);
   if (!complaints_.empty()) {
     for (const types::Transaction& tx : block.txs()) {
-      auto it = complaints_.find(TxKey(tx));
+      auto it = complaints_.find(IdOf(tx));
       if (it != complaints_.end()) ResolveComplaint(it);
     }
   }

@@ -23,7 +23,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.h"
@@ -204,18 +203,17 @@ class PrestigeReplica : public ReplicaBase {
                          const types::ClientComplaint& compt);
   void OnComptRelay(runtime::NodeId from, const ComptRelayMsg& msg,
                     const ComptRelayMsg::Verified* pre = nullptr);
-  /// Arms a complaint-wait timer for the complaint keyed by `key`, filling
-  /// `state`'s timer/probe fields. Timer tags carry only 48 payload bits,
-  /// so the 64-bit key is mapped through a small probe-id table instead of
-  /// being truncated into the tag.
-  void ArmComplaintTimer(uint64_t key, ComplaintState& state);
+  /// Arms a complaint-wait timer for the complaint about request `id`,
+  /// filling `state`'s timer/probe fields. Timer tags carry only 48 payload
+  /// bits, too few for a (32-bit pool, 64-bit seq) id, so the id is mapped
+  /// through a small probe-id table instead of being truncated into the tag.
+  void ArmComplaintTimer(RequestId id, ComplaintState& state);
   void HandleComplaintTimer(uint64_t probe);
   /// Erases one complaint and everything attached to it: its pending
   /// timer and its complaint_probe_keys_ entry. Every resolution path
   /// (commit, timer verdict, view install) funnels through here so the
   /// probe table can never outlive its complaints.
-  void ResolveComplaint(std::unordered_map<uint64_t, ComplaintState>::iterator
-                            it);
+  void ResolveComplaint(RequestMap<ComplaintState>::iterator it);
   void ResolveAllComplaints();
   void StartInspection(VcReason reason, const types::Transaction* tx);
   void OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
@@ -303,9 +301,9 @@ class PrestigeReplica : public ReplicaBase {
   /// be certified per sequence number — the invariant behind Theorem 3's
   /// intersection argument. Entries clear when n commits.
   std::map<types::SeqNum, crypto::Sha256Digest> commit_bound_;
-  /// Keys of transactions inside in-flight leader instances (prevents a
-  /// re-proposed body's transactions from being batched a second time).
-  std::unordered_set<uint64_t> inflight_tx_keys_;
+  /// Requests inside in-flight leader instances (prevents a re-proposed
+  /// body's transactions from being batched a second time).
+  RequestSet inflight_tx_keys_;
   /// Block bodies a newly elected leader re-proposes first (its in-flight
   /// suffix from the previous view; preserves possibly-committed blocks).
   std::vector<ledger::TxBlock> repropose_;
@@ -316,10 +314,10 @@ class PrestigeReplica : public ReplicaBase {
   runtime::TimerId rotation_timer_ = 0;
 
   // Complaint tracking.
-  std::unordered_map<uint64_t, ComplaintState> complaints_;
-  /// Probe-id -> complaint key for pending complaint-wait timers (keys are
-  /// 64-bit; timer tags only carry 48 payload bits).
-  std::unordered_map<uint64_t, uint64_t> complaint_probe_keys_;
+  RequestMap<ComplaintState> complaints_;
+  /// Probe-id -> complained request for pending complaint-wait timers (a
+  /// request id does not fit the 48 payload bits of a timer tag).
+  std::unordered_map<uint64_t, RequestId> complaint_probe_keys_;
   uint64_t next_complaint_probe_ = 1;
 
   // Inspection (ConfVC/ReVC collection).

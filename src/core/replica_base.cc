@@ -24,11 +24,6 @@ void ReplicaBase::SetService(std::unique_ptr<app::Service> service) {
   delivery_.SetService(std::move(service));
 }
 
-uint64_t ReplicaBase::TxKey(const types::Transaction& tx) {
-  return static_cast<uint64_t>(tx.pool) * 0x9e3779b97f4a7c15ULL ^
-         tx.client_seq * 0xc2b2ae3d27d4eb4fULL;
-}
-
 std::vector<runtime::NodeId> ReplicaBase::PeerActors() const {
   std::vector<runtime::NodeId> peers;
   peers.reserve(replicas_.size() - 1);
@@ -93,23 +88,23 @@ crypto::Signature ReplicaBase::SignMaybeCorrupt(
 // --------------------------------------------------------- request pool
 
 void ReplicaBase::EnqueueTx(const types::Transaction& tx) {
-  const uint64_t key = TxKey(tx);
-  if (Committed(key)) return;                     // Already decided.
-  if (!pending_keys_.insert(key).second) return;  // Already buffered.
+  if (RefuseSeqZero(tx)) return;
+  if (Committed(tx)) return;                           // Already decided.
+  if (!pending_keys_.insert(IdOf(tx)).second) return;  // Already buffered.
   pending_txs_.push_back(tx);
 }
 
 std::vector<types::Transaction> ReplicaBase::TakeBatch(
-    size_t max, const std::unordered_set<uint64_t>* in_flight) {
+    size_t max, const RequestSet* in_flight) {
   std::vector<types::Transaction> batch;
   batch.reserve(std::min(pending_txs_.size(), max));
   while (!pending_txs_.empty() && batch.size() < max) {
     types::Transaction tx = std::move(pending_txs_.front());
     pending_txs_.pop_front();
-    const uint64_t key = TxKey(tx);
-    pending_keys_.erase(key);
-    if (Committed(key)) continue;
-    if (in_flight != nullptr && in_flight->count(key) > 0) continue;
+    const RequestId id = IdOf(tx);
+    pending_keys_.erase(id);
+    if (Committed(tx)) continue;
+    if (in_flight != nullptr && in_flight->count(id) > 0) continue;
     batch.push_back(std::move(tx));
   }
   return batch;
@@ -117,7 +112,7 @@ std::vector<types::Transaction> ReplicaBase::TakeBatch(
 
 bool ReplicaBase::ReplyIfCommitted(const types::Transaction& tx,
                                    types::View v) {
-  if (!Committed(TxKey(tx))) return false;
+  if (!Committed(tx)) return false;
   if (tx.pool < clients_.size()) {
     GuardedSend(clients_[tx.pool], delivery_.ReplyFor(tx, v));
   }
@@ -153,18 +148,14 @@ void ReplicaBase::DeliverCommitted(const ledger::TxBlock& block) {
   metrics_.committed_txs += batch;
   ++metrics_.committed_blocks;
   metrics_.commit_timeline.Add(Now(), batch);
-  for (const types::Transaction& tx : block.txs()) {
-    committed_tx_keys_.insert(TxKey(tx));
-  }
   // Amortized prune: committed entries linger in the request pool until
   // proposal time (followers never propose); rebuild the pool once it
   // outgrows the bound.
   if (pending_txs_.size() > pool_limit_) {
     std::deque<types::Transaction> kept;
     for (types::Transaction& tx : pending_txs_) {
-      const uint64_t key = TxKey(tx);
-      if (Committed(key)) {
-        pending_keys_.erase(key);
+      if (Committed(tx)) {
+        pending_keys_.erase(IdOf(tx));
       } else {
         kept.push_back(std::move(tx));
       }

@@ -4,9 +4,11 @@
 // base owns the replica's identity and keys, its topology, the fault plane
 // (types::FaultSpec and the active-adversary policy), the request pool,
 // and the step every executed block takes: execution through the
-// CommitPipeline, per-pool client replies, commit metrics, the
-// committed-key set and the pool prune. Phases, view change, pacemakers,
-// vote/share bindings and in-order buffering stay in each protocol class.
+// CommitPipeline, per-pool client replies, commit metrics and the pool
+// prune. Whether a request is decided is asked of the CommitPipeline's
+// session table, the one record of executed requests. Phases, view change,
+// pacemakers, vote/share bindings and in-order buffering stay in each
+// protocol class.
 //
 // Every FaultSpec therefore reaches all three protocols through the same
 // code: a crashed replica processes nothing (OnMessage/OnTimer and every
@@ -21,6 +23,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -37,6 +40,24 @@
 
 namespace prestige {
 namespace core {
+
+/// A client request's identity: its exact (pool, client_seq). The request
+/// pool, PrestigeBFT's in-flight skip and its complaint tables all key
+/// requests by it.
+using RequestId = std::pair<types::ClientPoolId, uint64_t>;
+inline RequestId IdOf(const types::Transaction& tx) {
+  return {tx.pool, tx.client_seq};
+}
+/// Bucket hash only; equality stays exact.
+struct RequestIdHash {
+  size_t operator()(const RequestId& id) const {
+    return static_cast<uint64_t>(id.first) * 0x9e3779b97f4a7c15ULL ^
+           id.second * 0xc2b2ae3d27d4eb4fULL;
+  }
+};
+using RequestSet = std::unordered_set<RequestId, RequestIdHash>;
+template <typename Value>
+using RequestMap = std::unordered_map<RequestId, Value, RequestIdHash>;
 
 class ReplicaBase : public runtime::Node {
  public:
@@ -74,8 +95,6 @@ class ReplicaBase : public runtime::Node {
   /// active kRepeatedVc fault (its as_leader misbehaviour), never on the
   /// honest path.
   virtual bool ActingAsLeader() const = 0;
-
-  static uint64_t TxKey(const types::Transaction& tx);
 
   runtime::NodeId ActorOf(types::ReplicaId id) const { return replicas_[id]; }
   std::vector<runtime::NodeId> PeerActors() const;  ///< All replicas but self.
@@ -150,14 +169,22 @@ class ReplicaBase : public runtime::Node {
 
   // ------------------------------------------------------ request pool
 
-  /// Buffers `tx` unless it is already committed or buffered.
+  /// Refuses a request with client_seq 0 and counts it invalid. Sessions
+  /// are 1-based and never record seq 0 (client_session.h), so a committed
+  /// seq-0 request would otherwise be re-admitted on every resubmission.
+  bool RefuseSeqZero(const types::Transaction& tx) {
+    if (tx.client_seq == 0) ++metrics_.invalid_messages;
+    return tx.client_seq == 0;
+  }
+  /// Buffers `tx` unless it has seq 0 or is already committed or buffered.
   void EnqueueTx(const types::Transaction& tx);
   /// Pops up to `max` pool entries, dropping committed ones and, when
-  /// given, those whose keys are in `in_flight`.
+  /// given, those in `in_flight`.
   std::vector<types::Transaction> TakeBatch(
-      size_t max, const std::unordered_set<uint64_t>* in_flight = nullptr);
-  bool Committed(uint64_t key) const {
-    return committed_tx_keys_.count(key) > 0;
+      size_t max, const RequestSet* in_flight = nullptr);
+  /// Whether `tx` is decided: the session table is the one record.
+  bool Committed(const types::Transaction& tx) const {
+    return delivery_.Executed(tx.pool, tx.client_seq);
   }
   /// A complaint about an already committed `tx`: re-serves its cached
   /// reply (the client missed the originals) and returns true.
@@ -165,7 +192,7 @@ class ReplicaBase : public runtime::Node {
 
   /// The executed-block step: executes `block` exactly once (a tampered
   /// copy under a forged-reply adversary), routes the per-pool replies,
-  /// counts the commit, records its keys and prunes the request pool.
+  /// counts the commit and prunes the request pool.
   void DeliverCommitted(const ledger::TxBlock& block);
 
   const types::ReplicaId id_;
@@ -188,8 +215,7 @@ class ReplicaBase : public runtime::Node {
   // leader proposes. Committed entries linger until proposal time or the
   // amortized prune in DeliverCommitted.
   std::deque<types::Transaction> pending_txs_;
-  std::unordered_set<uint64_t> pending_keys_;  ///< Keys in pending_txs_.
-  std::unordered_set<uint64_t> committed_tx_keys_;
+  RequestSet pending_keys_;  ///< Requests in pending_txs_.
 };
 
 }  // namespace core

@@ -52,7 +52,7 @@ void PrestigeReplica::MaybePropose(bool allow_partial) {
 
 void PrestigeReplica::Propose(std::vector<types::Transaction> batch) {
   for (const types::Transaction& tx : batch) {
-    inflight_tx_keys_.insert(TxKey(tx));
+    inflight_tx_keys_.insert(IdOf(tx));
   }
   Instance instance;
   instance.last_broadcast_at = Now();
@@ -346,7 +346,7 @@ void PrestigeReplica::CommitBlock(ledger::TxBlock block) {
   signed_ord_.erase(std::make_pair(block.v, n));
   commit_bound_.erase(n);
   for (const types::Transaction& tx : block.txs()) {
-    inflight_tx_keys_.erase(TxKey(tx));
+    inflight_tx_keys_.erase(IdOf(tx));
   }
   ResetProgress();
 }
@@ -440,20 +440,14 @@ void PrestigeReplica::StopReplicationActivity() {
   replication_enabled_ = false;
   // Return uncommitted in-flight transactions to the request pool so a
   // future leadership term can re-propose them.
-  for (auto& [n, instance] : instances_) {
-    (void)n;
-    for (const types::Transaction& tx : instance.block.txs()) {
-      inflight_tx_keys_.erase(TxKey(tx));
-      EnqueueTx(tx);
-    }
-  }
-  for (auto& [n, block] : ready_blocks_) {
-    (void)n;
+  auto recycle = [this](const ledger::TxBlock& block) {
     for (const types::Transaction& tx : block.txs()) {
-      inflight_tx_keys_.erase(TxKey(tx));
+      inflight_tx_keys_.erase(IdOf(tx));
       EnqueueTx(tx);
     }
-  }
+  };
+  for (const auto& entry : instances_) recycle(entry.second.block);
+  for (const auto& entry : ready_blocks_) recycle(entry.second);
   instances_.clear();
   ready_blocks_.clear();
   partial_due_ = false;

@@ -18,14 +18,15 @@ void PrestigeReplica::OnClientComplaint(runtime::NodeId from,
                                         const types::ClientComplaint& compt) {
   (void)from;
   ++metrics_.complaints_received;
+  if (RefuseSeqZero(compt.tx)) return;
   if (ReplyIfCommitted(compt.tx, view_)) return;
-  const uint64_t key = TxKey(compt.tx);
-  auto existing = complaints_.find(key);
+  const RequestId id = IdOf(compt.tx);
+  auto existing = complaints_.find(id);
   if (existing != complaints_.end()) {
     // Re-complaint: if the previous escalation fizzled, watch again.
     if (existing->second.escalated) {
       existing->second.escalated = false;
-      ArmComplaintTimer(key, existing->second);
+      ArmComplaintTimer(id, existing->second);
     }
     return;
   }
@@ -51,19 +52,20 @@ void PrestigeReplica::OnClientComplaint(runtime::NodeId from,
 
   ComplaintState state;
   state.tx = compt.tx;
-  ArmComplaintTimer(key, state);
-  complaints_.emplace(key, std::move(state));
+  ArmComplaintTimer(id, state);
+  complaints_.emplace(id, std::move(state));
 }
 
-void PrestigeReplica::ArmComplaintTimer(uint64_t key, ComplaintState& state) {
-  // The 64-bit complaint key cannot ride in the 48-bit tag payload without
-  // truncation (which would make HandleComplaintTimer miss every lookup and
-  // silently disable complaint-driven view changes); route it through a
-  // sequential probe id instead. The probe is recorded in the state so the
-  // table entry can be reclaimed when the complaint is erased before its
-  // timer fires.
+void PrestigeReplica::ArmComplaintTimer(RequestId id,
+                                        ComplaintState& state) {
+  // The (pool, seq) request id cannot ride in the 48-bit tag payload
+  // without truncation (which would make HandleComplaintTimer miss every
+  // lookup and silently disable complaint-driven view changes); route it
+  // through a sequential probe id instead. The probe is recorded in the
+  // state so the table entry can be reclaimed when the complaint is erased
+  // before its timer fires.
   const uint64_t probe = next_complaint_probe_++;
-  complaint_probe_keys_[probe] = key;
+  complaint_probe_keys_[probe] = id;
   state.probe = probe;
   state.timer = SetTimer(config_.complaint_wait, Tag(kComplaintWait, probe));
 }
@@ -83,7 +85,7 @@ void PrestigeReplica::OnComptRelay(runtime::NodeId from, const ComptRelayMsg& ms
 }
 
 void PrestigeReplica::ResolveComplaint(
-    std::unordered_map<uint64_t, ComplaintState>::iterator it) {
+    RequestMap<ComplaintState>::iterator it) {
   // The probe entry must die with the complaint whether the timer already
   // fired (stale ids cancel/erase as no-ops) or is still pending —
   // otherwise churning complaints leak probe-table entries.
@@ -93,8 +95,8 @@ void PrestigeReplica::ResolveComplaint(
 }
 
 void PrestigeReplica::ResolveAllComplaints() {
-  for (auto& [key, state] : complaints_) {
-    (void)key;
+  for (auto& [id, state] : complaints_) {
+    (void)id;
     if (state.timer != 0) CancelTimer(state.timer);
   }
   complaints_.clear();
@@ -104,13 +106,12 @@ void PrestigeReplica::ResolveAllComplaints() {
 void PrestigeReplica::HandleComplaintTimer(uint64_t probe) {
   auto probe_it = complaint_probe_keys_.find(probe);
   if (probe_it == complaint_probe_keys_.end()) return;
-  const uint64_t key = probe_it->second;
+  auto it = complaints_.find(probe_it->second);
   complaint_probe_keys_.erase(probe_it);
-  auto it = complaints_.find(key);
   if (it == complaints_.end()) return;  // Committed in the meantime.
   it->second.escalated = true;  // Entry kept: peers' ConfVCs need it.
   const types::Transaction tx = it->second.tx;
-  if (Committed(key)) {
+  if (Committed(tx)) {
     ResolveComplaint(it);
     return;  // Leader was correct.
   }
@@ -171,8 +172,7 @@ void PrestigeReplica::OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
     case VcReason::kClientComplaint: {
       // Support only if we saw the same complaint and it is still pending
       // (Algorithm 2 line 12-13), or it timed out on us already.
-      const uint64_t key = TxKey(msg.tx);
-      support = complaints_.count(key) > 0 && !Committed(key);
+      support = complaints_.count(IdOf(msg.tx)) > 0 && !Committed(msg.tx);
       break;
     }
     case VcReason::kTimeout:

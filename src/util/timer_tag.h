@@ -6,8 +6,8 @@
 // (PrestigeReplica::Tag and copies in the baselines); it lives here once so
 // runtime::Env implementations, protocols, and tests agree on the layout.
 //
-// The 48-bit payload ceiling is a real protocol constraint: 64-bit keys
-// (e.g. complaint tx keys) do NOT fit and must be routed through an
+// The 48-bit payload ceiling is a real protocol constraint: wider keys
+// (e.g. complaint request ids) do NOT fit and must be routed through an
 // indirection table instead of being truncated into the tag — truncation
 // silently breaks the timer's lookup on fire (found the hard way in PR 2).
 
@@ -31,7 +31,7 @@ constexpr uint64_t kTimerTagMaxPayload = kTimerTagPayloadMask;
 
 /// Packs (kind, payload) into one tag. `Kind` is any enum (or integer)
 /// whose values fit in 16 bits; payloads wider than 48 bits are masked —
-/// callers owning 64-bit keys must map them through a table first (see
+/// callers owning wider keys must map them through a table first (see
 /// PrestigeReplica::complaint_probe_keys_).
 template <typename Kind>
 constexpr uint64_t PackTimerTag(Kind kind, uint64_t payload = 0) {

@@ -483,21 +483,28 @@ TEST_F(LeaderUnitTest, PartialBatchSurvivesFullPipeline) {
 
 // ------------------------------------------- complaint / probe lifecycle
 //
-// Complaint-wait timer tags carry only 48 payload bits, so 64-bit
-// complaint keys route through the complaint_probe_keys_ table. These
-// tests pin the table's lifecycle: entries must die with their complaint
-// on every resolution path — commit, fire, and view install — never only
-// when the timer fires.
+// Complaint-wait timer tags carry only 48 payload bits, too few for a
+// (pool, seq) request id, so complaints route through the
+// complaint_probe_keys_ table. These tests pin the table's lifecycle:
+// entries must die with their complaint on every resolution path —
+// commit, fire, and view install — never only when the timer fires.
 
 /// Complaint/commit helpers layered on the ReplicaUnitTest fixture.
 class ComplaintLifecycleTest : public ReplicaUnitTest {
  protected:
-  types::Transaction MakeTx(uint64_t seq) {
+  types::Transaction MakeTx(uint64_t seq, types::ClientPoolId pool = 0) {
     types::Transaction tx;
-    tx.pool = 0;
+    tx.pool = pool;
     tx.client_seq = seq;
     tx.fingerprint = seq * 31 + 7;
     return tx;
+  }
+
+  /// Broadcasts `tx` to the replica as a client would.
+  void Submit(const types::Transaction& tx) {
+    auto batch = std::make_shared<types::ClientBatch>();
+    batch->txs.push_back(tx);
+    Deliver(4, batch);
   }
 
   void Complain(const types::Transaction& tx) {
@@ -606,6 +613,69 @@ TEST_F(ComplaintLifecycleTest, UncommittedComplaintsClearOnViewInstall) {
   EXPECT_EQ(replica_->view(), 2);
   EXPECT_EQ(replica_->complaint_count(), 0u);
   EXPECT_EQ(replica_->complaint_probe_count(), 0u);
+}
+
+// ------------------------------------------------ request identity
+//
+// A request is identified by its exact (pool, client_seq), and the session
+// table is the one record of which requests are decided.
+
+// (pool 1, kCollidingSeq) and (pool 0, seq 1) hashed to the same 64-bit key
+// under the pool·A ^ seq·B mix the replica once used as request identity.
+constexpr uint64_t kCollidingSeq = 0xe2541bfa2352d486ULL;
+
+TEST_F(ComplaintLifecycleTest, CollidingRequestDoesNotAnswerAComplaint) {
+  Commit(MakeTx(kCollidingSeq, /*pool=*/1));
+  Complain(MakeTx(1));
+  // Undecided, so the complaint is watched, not answered as a stale dup.
+  EXPECT_EQ(replica_->complaint_count(), 1u);
+  EXPECT_EQ(client_probe_.Count<types::ClientReply>(), 0);
+}
+
+TEST_F(ComplaintLifecycleTest, CollidingRequestIsStillAdmitted) {
+  Commit(MakeTx(kCollidingSeq, /*pool=*/1));
+  Submit(MakeTx(1));
+  EXPECT_EQ(replica_->pending_pool_size(), 1u);
+}
+
+TEST_F(ComplaintLifecycleTest, SeqZeroIsRefusedAtAdmissionButExecutesInABlock) {
+  const types::Transaction tx = MakeTx(0);
+  Submit(tx);
+  EXPECT_EQ(replica_->pending_pool_size(), 0u);
+  EXPECT_EQ(replica_->metrics().invalid_messages, 1);
+  Complain(tx);
+  EXPECT_EQ(replica_->complaint_count(), 0u);
+  EXPECT_EQ(replica_->metrics().invalid_messages, 2);
+
+  // Inside a certified block it executes, every time it commits.
+  Commit(tx);
+  Commit(tx);
+  EXPECT_EQ(replica_->delivery().stats().executed, 2);
+}
+
+/// Executes a tampered copy of every committed block (forged replies).
+class TamperingAdversary : public types::AdversaryPolicy {
+ public:
+  bool TamperExecution(uint32_t, util::TimeMicros) const override {
+    return true;
+  }
+};
+
+TEST_F(ComplaintLifecycleTest, RequestCommittedUnderTamperingIsNotReadmitted) {
+  static const TamperingAdversary adversary;  // Outlives the fixture.
+  replica_->SetAdversary(&adversary);
+  const types::Transaction tx = MakeTx(1);
+  Commit(tx);
+  ASSERT_EQ(replica_->delivery().stats().executed, 1);
+  ASSERT_EQ(client_probe_.Count<types::ClientReply>(), 1);
+
+  // The tampered copy kept pool and seq, so the request stays decided.
+  Submit(tx);
+  EXPECT_EQ(replica_->pending_pool_size(), 0u);
+  Complain(tx);
+  EXPECT_EQ(replica_->complaint_count(), 0u);
+  EXPECT_EQ(client_probe_.Count<types::ClientReply>(), 2);  // Cached reply.
+  EXPECT_EQ(replica_->delivery().stats().executed, 1);
 }
 
 // ----------------------------------------------------- refresh overlay
