@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark): crypto substrate, reputation engine,
-// proof-of-work, simulator hot paths, and the socket backend's per-message
-// stages (wire encode, framing, reassembly). Not a paper figure — these
-// bound the constants the cost model abstracts.
+// proof-of-work, simulator hot paths, commit delivery, and the socket
+// backend's per-message stages (wire encode, framing, reassembly). Not a
+// paper figure — these bound the constants the cost model abstracts.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "app/kv_service.h"
+#include "core/commit_delivery.h"
 #include "core/messages.h"
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
@@ -183,8 +186,8 @@ std::vector<types::Transaction> SeededPutBatch() {
   return txs;
 }
 
-// The block digest the replication round takes 7 times per block (leader
-// Propose, followers' OnOrd and ValidateAndAppendTxBlock).
+// The block digest the replication round takes 4 times per block (leader
+// Propose, followers' OnOrd).
 void BM_BatchDigest(benchmark::State& state) {
   const std::vector<types::Transaction> txs = SeededPutBatch();
   for (auto _ : state) {
@@ -194,6 +197,48 @@ void BM_BatchDigest(benchmark::State& state) {
                           static_cast<int64_t>(txs.size()));
 }
 BENCHMARK(BM_BatchDigest);
+
+// CommitPipeline::Deliver with KvService over consecutive 500-Put blocks:
+// execution, the session table's dedup + reply cache, and, every 32nd
+// block (a checkpoint), eviction of the replies older than the retain
+// window. Each iteration relabels the block to the next height with fresh
+// client seqs (500 integer writes), so every request executes and the
+// reply cache reaches its steady size, as on a replica. Eviction is a
+// small share of the mean, so `checkpoint_block_us` times the checkpoint
+// blocks apart.
+void BM_DeliverBlock(benchmark::State& state) {
+  constexpr types::SeqNum kCheckpointInterval = 32;
+  core::CommitPipeline pipeline(/*replica_id=*/0, kCheckpointInterval);
+  pipeline.SetService(std::make_unique<app::KvService>());
+  ledger::TxBlock block;
+  block.v = 1;
+  block.set_txs(SeededPutBatch());
+  block.status.assign(block.BatchSize(), 1);
+  const auto batch = static_cast<uint64_t>(block.BatchSize());
+  types::SeqNum height = 0;
+  std::chrono::steady_clock::duration checkpoint_time{};
+  for (auto _ : state) {
+    std::vector<types::Transaction> txs = block.release_txs();
+    for (types::Transaction& tx : txs) tx.client_seq += batch;
+    block.set_txs(std::move(txs));
+    block.set_n(++height);
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(pipeline.Deliver(block));
+    if (height % kCheckpointInterval == 0) {
+      checkpoint_time += std::chrono::steady_clock::now() - start;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(batch));
+  const int64_t checkpoints = pipeline.stats().checkpoints;
+  state.counters["checkpoints"] = static_cast<double>(checkpoints);
+  if (checkpoints > 0) {
+    state.counters["checkpoint_block_us"] =
+        std::chrono::duration<double, std::micro>(checkpoint_time).count() /
+        static_cast<double>(checkpoints);
+  }
+}
+BENCHMARK(BM_DeliverBlock);
 
 // The socket backend's per-message stages on the leader's Ord of one
 // 500-Put batch (about 28.6 KB on the wire): wire encode, framing (fragment

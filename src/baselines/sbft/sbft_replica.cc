@@ -256,6 +256,7 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
   }
   if (auto* m =
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
+    ++metrics_.complaints_received;
     if (ReplyIfCommitted(m->tx, view_)) return;
     EnqueueTx(m->tx);
     MaybePropose(true);

@@ -19,11 +19,18 @@
 // (committed, result no longer available). Eviction is driven purely by
 // committed block heights, so every honest replica's table evolves
 // identically.
+//
+// Eviction order: Record runs in commit order, so cached replies arrive in
+// non-decreasing height. A FIFO of (height, pool, seq) mirrors that order,
+// and EvictUpTo pops its front: the cost is O(evicted), not a scan of every
+// cached reply.
 
 #ifndef PRESTIGE_CORE_CLIENT_SESSION_H_
 #define PRESTIGE_CORE_CLIENT_SESSION_H_
 
+#include <cassert>
 #include <cstdint>
+#include <deque>
 #include <set>
 #include <unordered_map>
 
@@ -63,6 +70,7 @@ class ClientSessionTable {
 
   /// Records an execution: marks (pool, seq) executed and caches the reply.
   /// Seq 0 is untracked (see IsDuplicate) and recording it is a no-op.
+  /// Heights must be non-decreasing across calls (commit order).
   void Record(types::ClientPoolId pool, uint64_t seq, app::Response response,
               types::SeqNum height) {
     if (seq == 0) return;
@@ -76,30 +84,26 @@ class ClientSessionTable {
         s.executed_above.erase(s.executed_above.begin());
       }
     }
-    s.replies.emplace(seq,
-                      CachedReply{std::move(response), height});
-    ++cached_replies_;
+    assert(evict_order_.empty() || evict_order_.back().height <= height);
+    if (s.replies.emplace(seq, CachedReply{std::move(response), height})
+            .second) {
+      evict_order_.push_back({height, pool, seq});
+    }
   }
 
   /// Evicts cached replies recorded at or below block `height` (dedup
   /// metadata is kept — duplicates stay detectable forever). Called at
   /// checkpoint boundaries with `checkpoint - retain_window`.
   void EvictUpTo(types::SeqNum height) {
-    for (auto& [pool, s] : sessions_) {
-      (void)pool;
-      for (auto it = s.replies.begin(); it != s.replies.end();) {
-        if (it->second.height <= height) {
-          it = s.replies.erase(it);
-          --cached_replies_;
-        } else {
-          ++it;
-        }
-      }
+    while (!evict_order_.empty() && evict_order_.front().height <= height) {
+      const Recorded& oldest = evict_order_.front();
+      sessions_[oldest.pool].replies.erase(oldest.seq);
+      evict_order_.pop_front();
     }
   }
 
   size_t session_count() const { return sessions_.size(); }
-  size_t cached_replies() const { return cached_replies_; }
+  size_t cached_replies() const { return evict_order_.size(); }
 
  private:
   struct Session {
@@ -108,8 +112,15 @@ class ClientSessionTable {
     std::unordered_map<uint64_t, CachedReply> replies;
   };
 
+  /// One cached reply's key, in the order it was recorded.
+  struct Recorded {
+    types::SeqNum height;
+    types::ClientPoolId pool;
+    uint64_t seq;
+  };
+
   std::unordered_map<types::ClientPoolId, Session> sessions_;
-  size_t cached_replies_ = 0;
+  std::deque<Recorded> evict_order_;  ///< Non-decreasing height.
 };
 
 }  // namespace core

@@ -6,7 +6,9 @@
 //      (ClientSessionTable suppresses retransmitted / complaint-resubmitted
 //      duplicates and re-serves their cached replies),
 //   2. fires the service's block hook (and checkpoint hook + reply-cache
-//      eviction every checkpoint_interval blocks),
+//      eviction every checkpoint_interval blocks: the replies recorded at
+//      heights <= checkpoint - reply_retain_blocks go, oldest first, in
+//      time proportional to their number; see ClientSessionTable),
 //   3. returns the per-pool types::ClientReply messages — status + opaque
 //      result + result digest per request — for the replica to send.
 //

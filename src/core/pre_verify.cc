@@ -111,8 +111,9 @@ runtime::Node::VerdictFn PrestigeReplica::PreVerify(
   }
   if (auto m = std::dynamic_pointer_cast<const TxBlockMsg>(msg)) {
     // No verdict to precompute, but hashing the block here publishes its
-    // digest into the (concurrency-safe) DigestCache, so the handler's own
-    // Digest() calls on the loop thread are cache hits.
+    // digest into the (concurrency-safe) DigestCache, so the handler's
+    // Digest() call, when it commits the message's body instead of its
+    // pending one, is a cache hit on the loop thread.
     (void)m->block.Digest();
     return nullptr;
   }

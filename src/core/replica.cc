@@ -413,24 +413,33 @@ void PrestigeReplica::OnSyncResp(runtime::NodeId from, const SyncRespMsg& msg) {
   ReplayStashedCampaigns();
 }
 
+util::Status PrestigeReplica::VerifyCommitQc(
+    const ledger::TxBlock& block) const {
+  return crypto::VerifyQuorumCert(
+      *keys_, block.commit_qc,
+      ledger::CommitDigest(block.v, block.n(), block.Digest()),
+      config_.quorum());
+}
+
 util::Status PrestigeReplica::ValidateAndAppendTxBlock(
     const ledger::TxBlock& block) {
-  const crypto::Sha256Digest digest = block.Digest();
-  PRESTIGE_RETURN_IF_ERROR(crypto::VerifyQuorumCert(
-      *keys_, block.commit_qc,
-      ledger::CommitDigest(block.v, block.n(), digest), config_.quorum()));
-  ledger::TxBlock copy = block;
-  util::Status st = store_.AppendTxBlock(std::move(copy));
-  if (!st.ok()) return st;
-  // One delivery path for every commit route (leader, follower, sync).
-  DeliverCommitted(block);
+  PRESTIGE_RETURN_IF_ERROR(VerifyCommitQc(block));
+  return AppendCertifiedTxBlock(ledger::TxBlock(block));
+}
+
+util::Status PrestigeReplica::AppendCertifiedTxBlock(ledger::TxBlock&& block) {
+  PRESTIGE_RETURN_IF_ERROR(store_.AppendTxBlock(std::move(block)));
+  // One delivery path for every commit route (leader, follower, sync),
+  // reading the block where the store now holds it.
+  const ledger::TxBlock& committed = *store_.LatestTxBlock();
+  DeliverCommitted(committed);
   if (!complaints_.empty()) {
-    for (const types::Transaction& tx : block.txs()) {
+    for (const types::Transaction& tx : committed.txs()) {
       auto it = complaints_.find(IdOf(tx));
       if (it != complaints_.end()) ResolveComplaint(it);
     }
   }
-  return st;
+  return util::Status::OK();
 }
 
 util::Status PrestigeReplica::ValidateAndAppendVcBlock(

@@ -185,9 +185,11 @@ class PrestigeReplica : public ReplicaBase {
   void OnTxBlockMsg(runtime::NodeId from, const TxBlockMsg& msg);
   void OnHeartbeat(runtime::NodeId from, const HeartbeatMsg& hb,
                    const HeartbeatMsg::Verified* pre = nullptr);
-  /// Appends + applies a committed block, notifies clients, unblocks
-  /// buffered successors.
-  void CommitBlock(ledger::TxBlock block);
+  /// Verifies `block`'s commit QC over its own body, then commits it.
+  void CommitBlock(ledger::TxBlock&& block);
+  /// Commits a block whose commit QC is already verified: moves it into
+  /// the store, applies it, notifies clients and clears its follower state.
+  void CommitCertified(ledger::TxBlock&& block);
   void DrainBufferedBlocks();
   void ResetProgress();
   void ArmProgressTimer();
@@ -251,7 +253,12 @@ class PrestigeReplica : public ReplicaBase {
                    int64_t up_to);
   void OnSyncReq(runtime::NodeId from, const SyncReqMsg& msg);
   void OnSyncResp(runtime::NodeId from, const SyncRespMsg& msg);
+  /// Checks the commit QC against CommitDigest(v, n, block.Digest()).
+  util::Status VerifyCommitQc(const ledger::TxBlock& block) const;
+  /// Sync path: verifies, then appends a copy of `block`.
   util::Status ValidateAndAppendTxBlock(const ledger::TxBlock& block);
+  /// Appends a certified block and delivers it from the store.
+  util::Status AppendCertifiedTxBlock(ledger::TxBlock&& block);
   util::Status ValidateAndAppendVcBlock(const ledger::VcBlock& block);
   void ReplayStashedCampaigns();
 

@@ -325,27 +325,69 @@ void PrestigeReplica::OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply)
 
 void PrestigeReplica::OnTxBlockMsg(runtime::NodeId from, const TxBlockMsg& msg) {
   const types::SeqNum latest = store_.LatestTxSeq();
-  if (msg.block.n() <= latest) return;  // Duplicate.
-  if (msg.block.n() > latest + 1) {
+  const types::SeqNum n = msg.block.n();
+  if (n <= latest) return;  // Duplicate.
+  if (n > latest + 1) {
     // Gap: buffer and fetch the missing prefix.
-    buffered_commits_[msg.block.n()] = msg.block;
-    RequestSync(from, SyncReqMsg::Kind::kTxBlocks, latest, msg.block.n() - 1);
+    buffered_commits_[n] = msg.block;
+    RequestSync(from, SyncReqMsg::Kind::kTxBlocks, latest, n - 1);
     return;
   }
-  CommitBlock(msg.block);
+  auto pending = pending_blocks_.find(n);
+  if (pending != pending_blocks_.end()) {
+    // The commit QC certifies CommitDigest(v, n, D). When D is the digest
+    // of the body we validated at Ord (memoized there), that body is the
+    // certified one: commit it instead of hashing and copying the
+    // message's copy of it.
+    const ledger::TxBlock& body = pending->second.block;
+    const crypto::Sha256Digest cmt_digest =
+        ledger::CommitDigest(msg.block.v, n, body.Digest());
+    if (cmt_digest == msg.block.commit_qc.digest) {
+      // Both checks run before the body moves, so a refused adoption
+      // leaves the pending entry intact (the tip check is the store's own
+      // append rule).
+      const ledger::TxBlock* tip = store_.LatestTxBlock();
+      if (!crypto::VerifyQuorumCert(*keys_, msg.block.commit_qc, cmt_digest,
+                                    config_.quorum())
+               .ok() ||
+          (tip != nullptr && body.prev_hash() != tip->Digest())) {
+        ++metrics_.invalid_messages;
+        return;
+      }
+      ledger::TxBlock block = std::move(pending->second.block);
+      pending_blocks_.erase(pending);
+      block.v = msg.block.v;
+      block.status = msg.block.status;
+      block.ordering_qc = msg.block.ordering_qc;
+      block.commit_qc = msg.block.commit_qc;
+      CommitCertified(std::move(block));
+      DrainBufferedBlocks();
+      return;
+    }
+  }
+  CommitBlock(ledger::TxBlock(msg.block));
   DrainBufferedBlocks();
 }
 
-void PrestigeReplica::CommitBlock(ledger::TxBlock block) {
-  const types::SeqNum n = block.n();
-  if (!ValidateAndAppendTxBlock(block).ok()) {
+void PrestigeReplica::CommitBlock(ledger::TxBlock&& block) {
+  if (!VerifyCommitQc(block).ok()) {
     ++metrics_.invalid_messages;
     return;
   }
+  CommitCertified(std::move(block));
+}
+
+void PrestigeReplica::CommitCertified(ledger::TxBlock&& block) {
+  if (!AppendCertifiedTxBlock(std::move(block)).ok()) {
+    ++metrics_.invalid_messages;
+    return;
+  }
+  const ledger::TxBlock& committed = *store_.LatestTxBlock();
+  const types::SeqNum n = committed.n();
   pending_blocks_.erase(n);
-  signed_ord_.erase(std::make_pair(block.v, n));
+  signed_ord_.erase(std::make_pair(committed.v, n));
   commit_bound_.erase(n);
-  for (const types::Transaction& tx : block.txs()) {
+  for (const types::Transaction& tx : committed.txs()) {
     inflight_tx_keys_.erase(IdOf(tx));
   }
   ResetProgress();

@@ -85,6 +85,64 @@ TEST(ClientSessionTableTest, EvictionDropsRepliesButKeepsDedup) {
   EXPECT_EQ(table.cached_replies(), 1u);
 }
 
+// Two pools record replies at interleaved, non-decreasing heights (pool 1
+// with out-of-order seqs); after each eviction the table must agree with a
+// brute-force model that keeps exactly the replies above the threshold.
+TEST(ClientSessionTableTest, EvictionMatchesBruteForceModel) {
+  struct Recorded {
+    types::ClientPoolId pool;
+    uint64_t seq;
+    types::SeqNum height;
+  };
+  ClientSessionTable table;
+  std::vector<Recorded> model;
+  util::Rng rng(5);
+  uint64_t next_seq[2] = {1, 2};
+  types::SeqNum evicted_up_to = 0;
+
+  auto check = [&](types::SeqNum height) {
+    size_t live = 0;
+    for (const Recorded& r : model) {
+      EXPECT_TRUE(table.IsDuplicate(r.pool, r.seq))
+          << "pool " << r.pool << " seq " << r.seq;
+      const ClientSessionTable::CachedReply* cached =
+          table.Lookup(r.pool, r.seq);
+      if (r.height <= evicted_up_to) {
+        EXPECT_EQ(cached, nullptr) << "at height " << height;
+        continue;
+      }
+      ++live;
+      ASSERT_NE(cached, nullptr) << "at height " << height;
+      EXPECT_EQ(cached->height, r.height);
+      ASSERT_EQ(cached->response.result.size(), 1u);
+      EXPECT_EQ(cached->response.result[0], static_cast<uint8_t>(r.seq));
+    }
+    EXPECT_EQ(table.cached_replies(), live) << "at height " << height;
+  };
+
+  for (types::SeqNum height = 1; height <= 60; ++height) {
+    const uint64_t count = rng.NextBounded(4);
+    for (uint64_t i = 0; i < count; ++i) {
+      const auto pool = static_cast<types::ClientPoolId>(rng.NextBounded(2));
+      uint64_t seq = next_seq[pool]++;
+      if (pool == 1) seq ^= 1;  // 3, 2, 5, 4, ...: swapped pairs.
+      app::Response response;
+      response.result = {static_cast<uint8_t>(seq)};
+      table.Record(pool, seq, response, height);
+      model.push_back({pool, seq, height});
+    }
+    if (height % 8 == 0) {
+      evicted_up_to = height - 5;
+      table.EvictUpTo(evicted_up_to);
+      check(height);
+    }
+  }
+  table.EvictUpTo(60);  // Everything goes; dedup stays.
+  evicted_up_to = 60;
+  check(60);
+  EXPECT_EQ(table.cached_replies(), 0u);
+}
+
 // --------------------------------------------------------- CommitPipeline
 
 TEST(CommitPipelineTest, ExecutesEachRequestExactlyOnce) {

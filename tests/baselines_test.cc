@@ -142,6 +142,21 @@ TEST(SbftTest, QuietLeaderCausesTimeoutRotation) {
   EXPECT_GT(cluster.ClientCommitted(), 200);
 }
 
+TEST(SbftTest, CountsEachClientComplaint) {
+  WorkloadOptions workload = SmallWorkload(23);
+  workload.num_pools = 1;
+  SbCluster cluster(SbConfig(), workload);
+  cluster.Start();
+  cluster.RunFor(Millis(1));
+  auto complaint = std::make_shared<types::ClientComplaint>();
+  complaint->tx.pool = 0;
+  complaint->tx.client_seq = 1;
+  // Actor ids: replicas 0..3, then the one client pool.
+  cluster.network().Send(/*from=*/4, cluster.replica_actor_id(0), complaint);
+  cluster.RunFor(Millis(50));  // Far below the clients' own 2 s timeout.
+  EXPECT_EQ(cluster.replica(0).metrics().complaints_received, 1);
+}
+
 TEST(SbftTest, CrashedReplicaFiresNoTimers) {
   std::vector<types::FaultSpec> faults(4, types::FaultSpec::Honest());
   faults[1] = types::FaultSpec::Crash(Seconds(1));

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "core/replica.h"
+#include "crypto/sha256.h"
+#include "net/wire.h"
 #include "runtime/sim_env.h"
 #include "sim/actor.h"
 #include "sim/network.h"
@@ -79,16 +81,19 @@ class ReplicaUnitTest : public ::testing::Test {
   }
 
   /// Leader-signed Ord for a fresh block at the replica's next sequence.
-  std::shared_ptr<OrdMsg> MakeOrd(types::SeqNum n, uint64_t salt = 0) {
+  std::shared_ptr<OrdMsg> MakeOrd(types::SeqNum n, uint64_t salt = 0,
+                                  size_t num_txs = 1) {
     auto ord = std::make_shared<OrdMsg>();
     ord->v = 1;
     ord->n = n;
     ord->prev_hash = replica_->store().LatestTxDigest();
-    types::Transaction tx;
-    tx.pool = 0;
-    tx.client_seq = 100 + static_cast<uint64_t>(n);
-    tx.fingerprint = 7 + salt;
-    ord->txs.push_back(tx);
+    for (size_t i = 0; i < num_txs; ++i) {
+      types::Transaction tx;
+      tx.pool = 0;
+      tx.client_seq = 100 * (i + 1) + static_cast<uint64_t>(n);
+      tx.fingerprint = 7 + salt;
+      ord->txs.push_back(tx);
+    }
 
     ledger::TxBlock block;
     block.v = ord->v;
@@ -99,6 +104,30 @@ class ReplicaUnitTest : public ::testing::Test {
         ledger::OrderingDigest(ord->v, ord->n, block.Digest());
     ord->sig = keys_.Sign(0, ord_digest);  // Leader is replica 0.
     return ord;
+  }
+
+  /// The leader's TxBlockMsg for `ord`'s body with a commit QC from
+  /// replicas {0, 2, 3}, decoded from its wire bytes as a socket replica
+  /// receives it: nothing in it carries a memoized digest.
+  sim::MessagePtr CertifiedTxBlock(const OrdMsg& ord) {
+    TxBlockMsg msg;
+    msg.block.v = ord.v;
+    msg.block.set_n(ord.n);
+    msg.block.set_prev_hash(ord.prev_hash);
+    msg.block.set_txs(ord.txs);
+    msg.block.status.assign(msg.block.BatchSize(), 1);
+    const crypto::Sha256Digest cmt_digest =
+        ledger::CommitDigest(ord.v, ord.n, msg.block.Digest());
+    crypto::QuorumCertBuilder builder(cmt_digest, 3);
+    for (uint32_t r : {0u, 2u, 3u}) {
+      builder.Add(keys_.Sign(r, cmt_digest), cmt_digest);
+    }
+    msg.block.commit_qc = builder.Build();
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(net::EncodeMessage(msg, &bytes));
+    sim::MessagePtr decoded = net::DecodeMessage(bytes.data(), bytes.size());
+    EXPECT_NE(decoded, nullptr);
+    return decoded;
   }
 
   void Deliver(sim::ActorId from, sim::MessagePtr msg) {
@@ -261,6 +290,63 @@ TEST_F(ReplicaUnitTest, TxBlockWithForgedQcRejected) {
   txb->block = block;
   Deliver(0, txb);
   EXPECT_EQ(replica_->store().LatestTxSeq(), 0);
+}
+
+// A follower commits the body it validated at Ord when the commit QC
+// certifies that body: the leader's copy is neither hashed nor copied.
+TEST_F(ReplicaUnitTest, FollowerAdoptsPendingBodyWithoutRehashing) {
+  constexpr size_t kBatch = 64;
+  auto ord = MakeOrd(1, /*salt=*/0, kBatch);
+  Deliver(0, ord);
+  ASSERT_EQ(replica_->pending_block_count(), 1u);
+  sim::MessagePtr txb = CertifiedTxBlock(*ord);
+
+  const uint64_t hashes_before = crypto::Sha256::TotalFinished();
+  Deliver(0, txb);
+  const uint64_t hashes = crypto::Sha256::TotalFinished() - hashes_before;
+
+  ASSERT_EQ(replica_->store().LatestTxSeq(), 1);
+  EXPECT_EQ(replica_->store().LatestTxBlock()->BatchSize(), kBatch);
+  EXPECT_EQ(replica_->pending_block_count(), 0u);
+  // Rehashing the body alone would take one hash per transaction.
+  EXPECT_LT(hashes, kBatch);
+}
+
+TEST_F(ReplicaUnitTest, CertifiedBodyDifferingFromPendingIsCommitted) {
+  Deliver(0, MakeOrd(1, /*salt=*/0));
+  ASSERT_EQ(replica_->pending_block_count(), 1u);
+  auto other = MakeOrd(1, /*salt=*/1);
+  ledger::TxBlock certified;
+  certified.set_n(1);
+  certified.set_prev_hash(other->prev_hash);
+  certified.set_txs(other->txs);
+
+  Deliver(0, CertifiedTxBlock(*other));
+  ASSERT_EQ(replica_->store().LatestTxSeq(), 1);
+  EXPECT_EQ(replica_->store().LatestTxBlock()->Digest(), certified.Digest());
+  EXPECT_EQ(replica_->pending_block_count(), 0u);
+}
+
+TEST_F(ReplicaUnitTest, BadCommitQcLeavesPendingBodyForALaterValidBlock) {
+  auto ord = MakeOrd(1, /*salt=*/0, /*num_txs=*/8);
+  Deliver(0, ord);
+  ASSERT_EQ(replica_->pending_block_count(), 1u);
+
+  // Same body, a commit QC whose digest matches but one partial is forged.
+  sim::MessagePtr good = CertifiedTxBlock(*ord);
+  auto forged = std::make_shared<TxBlockMsg>(
+      *std::dynamic_pointer_cast<const TxBlockMsg>(good));
+  forged->block.commit_qc.partials[0].mac[1] ^= 0x80;
+  const int64_t invalid_before = replica_->metrics().invalid_messages;
+  Deliver(0, forged);
+  EXPECT_EQ(replica_->metrics().invalid_messages, invalid_before + 1);
+  EXPECT_EQ(replica_->store().LatestTxSeq(), 0);
+  EXPECT_EQ(replica_->pending_block_count(), 1u);
+
+  Deliver(0, good);
+  ASSERT_EQ(replica_->store().LatestTxSeq(), 1);
+  EXPECT_EQ(replica_->store().LatestTxBlock()->BatchSize(), 8u);
+  EXPECT_EQ(replica_->pending_block_count(), 0u);
 }
 
 // ------------------------------------------------------------ view change
