@@ -240,6 +240,51 @@ void BM_DeliverBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_DeliverBlock);
 
+// ClientSessionTable::Lookup over a full reply-retain window: 96 retained
+// blocks of 500 replies from one pool (a checkpoint every 32 blocks with a
+// 64-block retain window keeps up to 96). Arg 0 finds the last entry of
+// the oldest retained block; arg 1 misses on a request whose block was
+// evicted (a kStaleDup replay). Both read every retained reply's range;
+// this is the cost of one duplicate when per-block seq ranges are disjoint.
+void BM_ReplyLookup(benchmark::State& state) {
+  constexpr types::SeqNum kBlocks = 128;
+  constexpr types::SeqNum kRetained = 96;
+  core::CommitPipeline pipeline(/*replica_id=*/0,
+                                /*checkpoint_interval=*/kBlocks,
+                                /*reply_retain_blocks=*/kRetained);
+  pipeline.SetService(std::make_unique<app::KvService>());
+  ledger::TxBlock block;
+  block.v = 1;
+  block.set_txs(SeededPutBatch());
+  block.status.assign(block.BatchSize(), 1);
+  const auto batch = static_cast<uint64_t>(block.BatchSize());
+  for (types::SeqNum height = 1; height <= kBlocks; ++height) {
+    if (height > 1) {
+      std::vector<types::Transaction> txs = block.release_txs();
+      for (types::Transaction& tx : txs) tx.client_seq += batch;
+      block.set_txs(std::move(txs));
+    }
+    block.set_n(height);
+    pipeline.Deliver(block);
+  }
+  const core::ClientSessionTable& sessions = pipeline.sessions();
+  const types::ClientPoolId pool = block.txs().front().pool;
+  const bool hit = state.range(0) == 0;
+  const uint64_t oldest = static_cast<uint64_t>(kBlocks - kRetained) + 1;
+  const uint64_t seq = hit ? oldest * batch : batch;
+  if ((sessions.Lookup(pool, seq).entry != nullptr) != hit ||
+      !sessions.IsDuplicate(pool, seq)) {
+    state.SkipWithError("retain window not as expected");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sessions.Lookup(pool, seq));
+  }
+  state.counters["retained_replies"] =
+      static_cast<double>(sessions.cached_replies());
+}
+BENCHMARK(BM_ReplyLookup)->ArgName("miss")->Arg(0)->Arg(1);
+
 // The socket backend's per-message stages on the leader's Ord of one
 // 500-Put batch (about 28.6 KB on the wire): wire encode, framing (fragment
 // headers + CRC32C), and the receiver's validation and reassembly

@@ -51,6 +51,16 @@ inline std::vector<uint8_t> EncodeGet(uint64_t key) {
   return cmd;
 }
 
+/// Encodes a u64 result in one allocation of exactly 8 bytes (appending
+/// byte by byte would grow the vector through 1, 2, 4 and 8).
+inline std::vector<uint8_t> EncodeValue(uint64_t v) {
+  std::vector<uint8_t> result(8);
+  for (size_t i = 0; i < 8; ++i) {
+    result[i] = static_cast<uint8_t>(v >> (i * 8));
+  }
+  return result;
+}
+
 /// Decodes a u64 result (Put's previous value / Get's value). Returns 0 for
 /// malformed results.
 inline uint64_t DecodeValue(const std::vector<uint8_t>& result) {
@@ -90,13 +100,13 @@ class KvService : public Service {
 
     if (op == kv::kPut) {
       uint64_t& slot = map_[key];
-      kv::AppendU64(response.result, slot);  // Previous value.
+      response.result = kv::EncodeValue(slot);  // Previous value.
       slot = value;
       Fold(key, value);
     } else {
       auto it = map_.find(key);
       const uint64_t current = it == map_.end() ? 0 : it->second;
-      kv::AppendU64(response.result, current);
+      response.result = kv::EncodeValue(current);
       Fold(key, ~current);  // Reads fold too: order-sensitive history.
     }
     ++applied_;

@@ -44,14 +44,21 @@ struct Response {
 /// 64-bit digest of a response, used for client-side reply-quorum matching
 /// (f+1 replicas must report the same digest before a request completes).
 /// FNV-1a — replies are already authenticated per-replica by the transport
-/// MAC model; this digest only needs to detect divergent results.
-inline uint64_t ResultDigest(const Response& response) {
+/// MAC model; this digest only needs to detect divergent results. Takes the
+/// two fields by reference so a reply entry is digested without first being
+/// copied into a Response.
+inline uint64_t ResultDigest(ExecStatus status,
+                             const std::vector<uint8_t>& result) {
   uint64_t h = 1469598103934665603ULL;
-  h = (h ^ static_cast<uint8_t>(response.status)) * 1099511628211ULL;
-  for (uint8_t b : response.result) {
+  h = (h ^ static_cast<uint8_t>(status)) * 1099511628211ULL;
+  for (uint8_t b : result) {
     h = (h ^ b) * 1099511628211ULL;
   }
   return h;
+}
+
+inline uint64_t ResultDigest(const Response& response) {
+  return ResultDigest(response.status, response.result);
 }
 
 /// Deterministic application executed in commit order on every replica.

@@ -123,9 +123,7 @@ void Client::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) {
 /// partly post-eviction legitimately sees two digests; that split is
 /// honest behaviour, not result divergence.
 static uint64_t StaleDupDigest() {
-  app::Response stale;
-  stale.status = app::ExecStatus::kStaleDup;
-  return app::ResultDigest(stale);
+  return app::ResultDigest(app::ExecStatus::kStaleDup, {});
 }
 
 void Client::OnReply(runtime::NodeId from, const types::ClientReply& reply) {
@@ -144,12 +142,10 @@ void Client::OnReply(runtime::NodeId from, const types::ClientReply& reply) {
 
     // Recompute the digest from the entry's own status/result bytes:
     // honest replicas always satisfy result_digest ==
-    // ResultDigest({status, result}), so trusting the wire field would
+    // ResultDigest(status, result), so trusting the wire field would
     // let forged result bytes ride an honest digest into the quorum.
-    app::Response reported;
-    reported.status = static_cast<app::ExecStatus>(entry.status);
-    reported.result = entry.result;
-    const uint64_t digest = app::ResultDigest(reported);
+    const uint64_t digest = app::ResultDigest(
+        static_cast<app::ExecStatus>(entry.status), entry.result);
 
     DigestVotes& votes = pending.votes[digest];
     if (votes.replicas.capacity() == 0) {

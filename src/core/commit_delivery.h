@@ -4,13 +4,17 @@
 // Every protocol funnels each committed TxBlock through Deliver(), which
 //   1. executes every *fresh* transaction exactly once via app::Service
 //      (ClientSessionTable suppresses retransmitted / complaint-resubmitted
-//      duplicates and re-serves their cached replies),
-//   2. fires the service's block hook (and checkpoint hook + reply-cache
-//      eviction every checkpoint_interval blocks: the replies recorded at
-//      heights <= checkpoint - reply_retain_blocks go, oldest first, in
-//      time proportional to their number; see ClientSessionTable),
-//   3. returns the per-pool types::ClientReply messages — status + opaque
-//      result + result digest per request — for the replica to send.
+//      duplicates, and their entries copy the status, result and digest of
+//      the entry sent when the request executed — in an earlier block or
+//      earlier in this one),
+//   2. returns the per-pool types::ClientReply messages — status + opaque
+//      result + result digest per request — for the replica to send, and
+//      retains those same messages as the reply cache (the response bytes
+//      are moved into the entry, never copied),
+//   3. fires the service's block hook (and checkpoint hook + reply-cache
+//      eviction every checkpoint_interval blocks: the blocks retained at
+//      heights <= checkpoint - reply_retain_blocks go whole, oldest first;
+//      see ClientSessionTable).
 //
 // Because the pipeline is driven only by the committed chain, its state
 // (session table, execution counts, service state digest) is a
@@ -61,36 +65,44 @@ class CommitPipeline {
   const Stats& stats() const { return stats_; }
 
   /// Executes `block` through the service with exactly-once dedup and
-  /// returns one ClientReply per client pool present in the block.
-  std::vector<std::shared_ptr<types::ClientReply>> Deliver(
+  /// returns one ClientReply per client pool present in the block. The
+  /// replies are also retained as the reply cache, so they are never
+  /// mutated after this returns.
+  std::vector<std::shared_ptr<const types::ClientReply>> Deliver(
       const ledger::TxBlock& block) {
+    // One reply per pool, its entries reserved to the pool's share of the
+    // block (one allocation each).
+    std::map<types::ClientPoolId, size_t> counts;
+    for (const types::Transaction& tx : block.txs()) ++counts[tx.pool];
     std::map<types::ClientPoolId, std::shared_ptr<types::ClientReply>>
         by_pool;
-    for (const types::Transaction& tx : block.txs()) {
-      types::ReplyEntry entry = ExecuteOrReplay(tx, block.n());
-      std::shared_ptr<types::ClientReply>& reply = by_pool[tx.pool];
-      if (reply == nullptr) {
-        reply = std::make_shared<types::ClientReply>();
-        reply->replica = replica_id_;
-        reply->v = block.v;
-        reply->n = block.n();
-        reply->pool = tx.pool;
-      }
-      reply->entries.push_back(std::move(entry));
+    for (const auto& [pool, count] : counts) {
+      auto reply = std::make_shared<types::ClientReply>();
+      reply->replica = replica_id_;
+      reply->v = block.v;
+      reply->n = block.n();
+      reply->pool = pool;
+      reply->entries.reserve(count);
+      by_pool.emplace(pool, std::move(reply));
     }
+    for (const types::Transaction& tx : block.txs()) {
+      types::ClientReply& reply = *by_pool[tx.pool];
+      reply.entries.push_back(ExecuteOrReplay(tx, reply));
+    }
+
+    std::vector<std::shared_ptr<const types::ClientReply>> replies;
+    replies.reserve(by_pool.size());
+    for (auto& [pool, reply] : by_pool) {
+      (void)pool;
+      replies.push_back(std::move(reply));
+    }
+    sessions_.Retain(block.n(), replies);
     service_->OnBlockCommitted(block.n(), block.v);
     ++stats_.blocks_delivered;
     if (block.n() % checkpoint_interval_ == 0) {
       service_->OnCheckpoint(block.n());
       sessions_.EvictUpTo(block.n() - reply_retain_blocks_);
       ++stats_.checkpoints;
-    }
-
-    std::vector<std::shared_ptr<types::ClientReply>> replies;
-    replies.reserve(by_pool.size());
-    for (auto& [pool, reply] : by_pool) {
-      (void)pool;
-      replies.push_back(std::move(reply));
     }
     return replies;
   }
@@ -105,10 +117,10 @@ class CommitPipeline {
     reply->replica = replica_id_;
     reply->v = v;
     reply->pool = tx.pool;
-    const ClientSessionTable::CachedReply* cached =
+    const ClientSessionTable::CachedReply cached =
         sessions_.Lookup(tx.pool, tx.client_seq);
-    if (cached != nullptr) reply->n = cached->height;
-    reply->entries.push_back(ReplayEntry(tx.client_seq, cached));
+    if (cached.entry != nullptr) reply->n = cached.height;
+    reply->entries.push_back(ReplayEntry(tx.client_seq, cached.entry));
     return reply;
   }
 
@@ -118,43 +130,49 @@ class CommitPipeline {
   }
 
  private:
-  /// The one construction of a duplicate's ReplyEntry — from the cached
-  /// response, or the deterministic kStaleDup shape once evicted. Both
-  /// the block-delivery and complaint paths must produce byte-identical
-  /// entries (clients quorum-match on the digest), so they share this.
-  static types::ReplyEntry ReplayEntry(
-      uint64_t client_seq, const ClientSessionTable::CachedReply* cached) {
+  /// The one construction of a duplicate's ReplyEntry — from the fresh
+  /// entry that was sent for the request, or the deterministic kStaleDup
+  /// shape once evicted. Both the block-delivery and complaint paths must
+  /// produce byte-identical entries (clients quorum-match on the digest),
+  /// so they share this.
+  static types::ReplyEntry ReplayEntry(uint64_t client_seq,
+                                       const types::ReplyEntry* cached) {
     types::ReplyEntry entry;
     entry.client_seq = client_seq;
     entry.duplicate = true;
     if (cached != nullptr) {
-      entry.status = static_cast<uint8_t>(cached->response.status);
-      entry.result = cached->response.result;
-      entry.result_digest = app::ResultDigest(cached->response);
+      entry.status = cached->status;
+      entry.result = cached->result;
+      entry.result_digest = cached->result_digest;
     } else {
-      app::Response stale;
-      stale.status = app::ExecStatus::kStaleDup;
-      entry.status = static_cast<uint8_t>(stale.status);
-      entry.result_digest = app::ResultDigest(stale);
+      entry.status = static_cast<uint8_t>(app::ExecStatus::kStaleDup);
+      entry.result_digest = app::ResultDigest(app::ExecStatus::kStaleDup, {});
     }
     return entry;
   }
 
+  /// Executes `tx`, or replays it when it already executed: from the
+  /// retained blocks, or from `building`, the reply of tx's pool this
+  /// block is filling (a duplicate inside one block).
   types::ReplyEntry ExecuteOrReplay(const types::Transaction& tx,
-                                    types::SeqNum height) {
+                                    const types::ClientReply& building) {
     if (sessions_.IsDuplicate(tx.pool, tx.client_seq)) {
       ++stats_.duplicates_suppressed;
-      return ReplayEntry(tx.client_seq,
-                         sessions_.Lookup(tx.pool, tx.client_seq));
+      const types::ReplyEntry* cached =
+          sessions_.Lookup(tx.pool, tx.client_seq).entry;
+      if (cached == nullptr) {
+        cached = ClientSessionTable::FindFresh(building, tx.client_seq);
+      }
+      return ReplayEntry(tx.client_seq, cached);
     }
     types::ReplyEntry entry;
     entry.client_seq = tx.client_seq;
     app::Response response = service_->Execute(tx);
     ++stats_.executed;
     entry.status = static_cast<uint8_t>(response.status);
-    entry.result_digest = app::ResultDigest(response);
-    entry.result = response.result;
-    sessions_.Record(tx.pool, tx.client_seq, std::move(response), height);
+    entry.result_digest = app::ResultDigest(response.status, response.result);
+    entry.result = std::move(response.result);
+    sessions_.Record(tx.pool, tx.client_seq);
     return entry;
   }
 

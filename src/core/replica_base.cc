@@ -122,7 +122,7 @@ bool ReplicaBase::ReplyIfCommitted(const types::Transaction& tx,
 // ------------------------------------------------------- executed block
 
 void ReplicaBase::DeliverCommitted(const ledger::TxBlock& block) {
-  std::vector<std::shared_ptr<types::ClientReply>> replies;
+  std::vector<std::shared_ptr<const types::ClientReply>> replies;
   if (adversary_ != nullptr && adversary_->TamperExecution(id_, Now())) {
     // Forged replies: execute a tampered copy of the committed block, so
     // this replica's application state genuinely diverges and the reply

@@ -277,6 +277,25 @@ TEST(KvServiceTest, ResultDigestDistinguishesResults) {
   EXPECT_NE(app::ResultDigest(a), app::ResultDigest(d));
 }
 
+// The (status, result) overload is what clients and the commit path digest
+// reply entries with; it must agree with the Response overload, including
+// on the stale-dup shape (no result bytes).
+TEST(KvServiceTest, ResultDigestOverloadsAgree) {
+  app::Response ok;
+  ok.result = {1, 2, 3};
+  EXPECT_EQ(app::ResultDigest(ok.status, ok.result), app::ResultDigest(ok));
+  app::Response error;
+  error.status = app::ExecStatus::kError;
+  EXPECT_EQ(app::ResultDigest(error.status, error.result),
+            app::ResultDigest(error));
+  app::Response stale;
+  stale.status = app::ExecStatus::kStaleDup;
+  EXPECT_EQ(app::ResultDigest(app::ExecStatus::kStaleDup, {}),
+            app::ResultDigest(stale));
+  EXPECT_NE(app::ResultDigest(app::ExecStatus::kStaleDup, {}),
+            app::ResultDigest(app::ExecStatus::kOk, {}));
+}
+
 TEST(NullServiceTest, CountsAndFoldsOrder) {
   app::NullService sm;
   ExecuteAll(sm, MakeTxBlock(1, 1, {}));
