@@ -33,7 +33,7 @@
 // latency dominates the virtual clock.
 //
 // Usage: bench_runner [--outdir DIR] [--seeds N] [--seed BASE] [--jobs N]
-//                     [--runtime sim|threaded|socket] [--workers LIST]
+//                     [--runtime sim|threaded|socket]
 //                     [--groups LIST] [--arrival-rate R] [--slo-ms MS]
 //                     [scenario ...]
 //        bench_runner --scenario NAME [--scenario NAME ...]
@@ -45,13 +45,9 @@
 // `--runtime=threaded` additionally executes each selected (fault-free)
 // declarative scenario on the real-time ThreadedRuntime backend and adds a
 // "threaded" JSON block with real wall-clock TPS/latency next to the
-// simulated numbers (docs/BENCHMARKS.md). `--workers 0,2,4` (threaded only)
-// repeats each threaded run with that many OrderedRunner prologue workers
-// per node and records the sweep in "threaded.worker_sweep"; the flat
-// threaded fields always describe the classic workers=0 path, which is
-// included automatically. `--groups 1,2,4` (threaded only) additionally
-// runs one sharded OPEN-LOOP deployment per group count — G disjoint
-// consensus groups behind a shard::Router, Poisson arrivals at
+// simulated numbers (docs/BENCHMARKS.md). `--groups 1,2,4` (threaded only)
+// additionally runs one sharded OPEN-LOOP deployment per group count — G
+// disjoint consensus groups behind a shard::Router, Poisson arrivals at
 // `--arrival-rate` req/s per pool, zipfian keys, end-to-end latency held
 // to `--slo-ms` — and records the sweep in "threaded.group_sweep"
 // (groups=1 joins automatically as the unsharded reference; the flat
@@ -64,7 +60,7 @@
 // wall-clock numbers plus frame/drop counters. `--list` prints scenarios,
 // protocol configs, and runtime backends. Exit status is 2 on usage
 // errors (unknown scenarios, unknown --runtime values, malformed or
-// out-of-range --seeds/--seed/--jobs/--workers/--groups, sim-only scenarios
+// out-of-range --seeds/--seed/--jobs/--groups, sim-only scenarios
 // under a real-time backend, threaded-only flags without
 // --runtime=threaded), 1 when any output failed to write OR any
 // scenario — simulated, threaded, or socket — violated a safety invariant
@@ -115,8 +111,6 @@ struct Options {
   /// Worker threads for declarative seed sweeps (--jobs); 0 = not set,
   /// resolved to the machine's hardware concurrency.
   uint32_t jobs = 0;
-  /// Per-node prologue worker counts for the threaded backend (--workers).
-  std::vector<uint32_t> worker_counts;
   /// Consensus-group counts for the sharded open-loop sweep (--groups,
   /// threaded backend only). Empty = no group sweep.
   std::vector<uint32_t> group_counts;
@@ -129,17 +123,6 @@ struct Options {
     if (jobs != 0) return jobs;
     const unsigned hc = std::thread::hardware_concurrency();
     return hc == 0 ? 1 : hc;
-  }
-
-  /// Resolved worker sweep: a single K>0 expands to {0, K}, and 0 always
-  /// leads so the flat "threaded" fields (and the CI gates reading them)
-  /// keep describing the classic path. Empty = {0} (classic only).
-  std::vector<uint32_t> WorkerCounts() const {
-    std::vector<uint32_t> counts = worker_counts;
-    if (std::find(counts.begin(), counts.end(), 0u) == counts.end()) {
-      counts.insert(counts.begin(), 0);
-    }
-    return counts;
   }
 
   /// Resolved group sweep: groups=1 always leads so every sweep carries
@@ -458,8 +441,9 @@ ScenarioResult SweepProtocols(const SpecFn& spec_fn, const std::string& label,
 }
 
 /// The shared head of the "threaded" and "socket" JSON blocks: one
-/// wall-clock PrestigeBFT run. The caller appends the backend's own
-/// members and closes the block.
+/// wall-clock PrestigeBFT run, ending after the "safe" member without a
+/// separator. The caller appends the backend's own members and closes the
+/// block.
 std::string WallClockJson(const char* backend, const harness::RunResult& rt) {
   char buf[768];
   std::snprintf(
@@ -480,7 +464,7 @@ std::string WallClockJson(const char* backend, const harness::RunResult& rt) {
       "    \"messages_delivered\": %llu,\n"
       "    \"min_height\": %lld,\n"
       "    \"max_height\": %lld,\n"
-      "    \"safe\": %s,\n",
+      "    \"safe\": %s",
       backend, rt.duration_seconds, static_cast<long long>(rt.committed),
       rt.tps, rt.p50_ms, rt.p99_ms, rt.mean_ms,
       static_cast<long long>(rt.view_changes),
@@ -496,40 +480,32 @@ std::string WallClockJson(const char* backend, const harness::RunResult& rt) {
 }
 
 /// --runtime=threaded: the scenario's workload on the threaded backend
-/// (PrestigeBFT), once per --workers count, then one sharded open-loop
-/// deployment per --groups count. The flat "threaded" fields always
-/// describe the workers=0 classic closed-loop path — CI gates read them —
-/// and the sweeps ride in "worker_sweep" / "group_sweep".
+/// (PrestigeBFT), then one sharded open-loop deployment per --groups count.
+/// The flat "threaded" fields describe the closed-loop run — CI gates read
+/// them — and the group sweep rides in "group_sweep".
 void RunThreadedComparison(const harness::ScenarioSpec& spec,
                            const Options& options, ScenarioResult& result) {
-  std::vector<harness::RunResult> sweep;
-  for (const uint32_t workers : options.WorkerCounts()) {
-    harness::WorkloadOptions workload = ScenarioWorkload(options.base_seed);
-    workload.workers_per_node = workers;
-    const harness::RunResult rt = harness::RunWallClockScenario<
-        core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
-        spec, PaperPrestigeConfig(spec.n, 500), workload);
-    if (!rt.ran) {
-      std::fprintf(stderr, "bench_runner: threaded run skipped: %s\n",
-                   rt.error.c_str());
-      result.safe = false;
-      return;
-    }
-    if (!rt.safety_ok) {
-      std::fprintf(stderr,
-                   "bench_runner: SAFETY VIOLATION (threaded, workers=%u) "
-                   "%s: %s\n",
-                   workers, spec.name.c_str(), rt.violation.c_str());
-      result.safe = false;
-    }
-    std::printf(
-        "  threaded[workers=%u]: committed=%lld tps=%.1f p50=%.2fms "
-        "p99=%.2fms msgs=%llu safe=%s   (sim tps=%.1f p50=%.2fms)\n",
-        workers, static_cast<long long>(rt.committed), rt.tps, rt.p50_ms,
-        rt.p99_ms, static_cast<unsigned long long>(rt.messages_delivered),
-        rt.safety_ok ? "yes" : "NO", result.tps, result.p50_ms);
-    sweep.push_back(rt);
+  const harness::RunResult rt = harness::RunWallClockScenario<
+      core::PrestigeReplica, core::PrestigeConfig, harness::ThreadedBackend>(
+      spec, PaperPrestigeConfig(spec.n, 500),
+      ScenarioWorkload(options.base_seed));
+  if (!rt.ran) {
+    std::fprintf(stderr, "bench_runner: threaded run skipped: %s\n",
+                 rt.error.c_str());
+    result.safe = false;
+    return;
   }
+  if (!rt.safety_ok) {
+    std::fprintf(stderr, "bench_runner: SAFETY VIOLATION (threaded) %s: %s\n",
+                 spec.name.c_str(), rt.violation.c_str());
+    result.safe = false;
+  }
+  std::printf(
+      "  threaded: committed=%lld tps=%.1f p50=%.2fms p99=%.2fms msgs=%llu "
+      "safe=%s   (sim tps=%.1f p50=%.2fms)\n",
+      static_cast<long long>(rt.committed), rt.tps, rt.p50_ms, rt.p99_ms,
+      static_cast<unsigned long long>(rt.messages_delivered),
+      rt.safety_ok ? "yes" : "NO", result.tps, result.p50_ms);
 
   // Sharded open-loop group sweep: G disjoint consensus groups of spec.n
   // replicas each behind a shard::Router, open-loop Poisson load, and the
@@ -581,25 +557,7 @@ void RunThreadedComparison(const harness::ScenarioSpec& spec,
     group_json += gbuf;
   }
 
-  result.extra_json += WallClockJson("threaded", sweep.front());  // workers=0
-  result.extra_json += "    \"worker_sweep\": [\n";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const harness::RunResult& wr = sweep[i];
-    char wbuf[384];
-    std::snprintf(
-        wbuf, sizeof(wbuf),
-        "      {\"workers\": %u, \"duration_seconds\": %.3f, "
-        "\"committed\": %lld, \"throughput_tps\": %.1f, "
-        "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
-        "\"mean_latency_ms\": %.4f, \"messages_delivered\": %llu, "
-        "\"safe\": %s}%s\n",
-        wr.workers, wr.duration_seconds, static_cast<long long>(wr.committed),
-        wr.tps, wr.p50_ms, wr.p99_ms, wr.mean_ms,
-        static_cast<unsigned long long>(wr.messages_delivered),
-        wr.safety_ok ? "true" : "false", i + 1 < sweep.size() ? "," : "");
-    result.extra_json += wbuf;
-  }
-  result.extra_json += "    ]";
+  result.extra_json += WallClockJson("threaded", rt);
   if (!group_json.empty()) {
     result.extra_json += ",\n    \"group_sweep\": [\n";
     result.extra_json += group_json;
@@ -645,6 +603,7 @@ void RunSocketComparison(const harness::ScenarioSpec& spec,
   char nbuf[640];
   std::snprintf(
       nbuf, sizeof(nbuf),
+      ",\n"
       "    \"net\": {\"frames_sent\": %llu, \"frames_received\": %llu,\n"
       "      \"messages_assembled\": %llu, \"seq_gaps\": %llu,\n"
       "      \"seq_out_of_order\": %llu, \"header_drops\": %llu,\n"
@@ -938,11 +897,6 @@ int ParseArgs(int argc, char** argv, Options* o) {
       }
     } else if (std::strcmp(arg, "--jobs") == 0 && has_value) {
       if (!ParseFlagCount("--jobs", argv[++i], 1, 1024, &o->jobs)) return 2;
-    } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
-      threaded_only = arg;
-      if (!ParseCounts("--workers", argv[++i], 0, 256, &o->worker_counts)) {
-        return 2;
-      }
     } else if (std::strcmp(arg, "--groups") == 0 && has_value) {
       threaded_only = arg;
       if (!ParseCounts("--groups", argv[++i], 1, 64, &o->group_counts)) {

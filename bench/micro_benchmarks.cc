@@ -55,43 +55,6 @@ void BM_SignVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SignVerify);
 
-// Aggregate KeyStore::Verify throughput across 1..N concurrent threads —
-// the scaling the OrderedRunner prologue pool (runtime/ordered_runner.h)
-// banks on. Verify is const over immutable keys, so threads share one
-// store with no synchronization, exactly like worker prologues do.
-// UseRealTime reports wall time: flat ns/op with rising thread count
-// means near-linear aggregate throughput.
-void BM_VerifyThroughputThreaded(benchmark::State& state) {
-  static crypto::KeyStore keys(42);
-  static const crypto::Sha256Digest digest =
-      crypto::Sha256::Hash(std::string("parallel-verify"));
-  static const crypto::Signature sig = keys.Sign(1, digest);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(keys.Verify(sig, digest));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VerifyThroughputThreaded)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->UseRealTime();
-
-// Same scaling probe for raw Sha256 over a batch-sized payload (the
-// prologue's block-hashing half).
-void BM_Sha256ThroughputThreaded(benchmark::State& state) {
-  static const std::vector<uint8_t> data(4096, 0xab);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::Hash(data));
-  }
-  state.SetBytesProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_Sha256ThroughputThreaded)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->UseRealTime();
-
 void BM_QuorumCertVerify(benchmark::State& state) {
   crypto::KeyStore keys(42);
   const crypto::Sha256Digest digest =

@@ -196,8 +196,8 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   });
 }
 
-void HotStuffReplica::OnProposal(runtime::NodeId from, const HsProposalMsg& msg,
-                                 const HsProposalMsg::Verified* pre) {
+void HotStuffReplica::OnProposal(runtime::NodeId from,
+                                 const HsProposalMsg& msg) {
   if (msg.v < view_) return;
   if (msg.v > view_) {
     // The cluster moved on; adopt the higher view (passive schedule makes
@@ -215,20 +215,16 @@ void HotStuffReplica::OnProposal(runtime::NodeId from, const HsProposalMsg& msg,
     req->up_to = msg.block.n() - 1;
     GuardedSend(from, req);
   }
-  const crypto::Sha256Digest digest =
-      pre != nullptr ? pre->block_digest : msg.block.Digest();
+  const crypto::Sha256Digest digest = msg.block.Digest();
   // Vote binding: never back a second body at a sequence we already voted
   // for (commit quorums need 2f+1 votes, so this keeps at most one
   // certifiable body per sequence across view rotations).
   auto bound = vote_bound_.find(msg.block.n());
   if (bound != vote_bound_.end() && bound->second != digest) return;
   const crypto::Sha256Digest vote_digest =
-      pre != nullptr
-          ? pre->vote_digest
-          : HsVoteDigest(HsPhase::kPrepare, msg.v, msg.block.n(), digest);
-  const bool sig_ok =
-      pre != nullptr ? pre->sig_ok : keys_->Verify(msg.sig, vote_digest);
-  if (!sig_ok || msg.sig.signer != current_leader()) {
+      HsVoteDigest(HsPhase::kPrepare, msg.v, msg.block.n(), digest);
+  if (!keys_->Verify(msg.sig, vote_digest) ||
+      msg.sig.signer != current_leader()) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -316,15 +312,22 @@ void HotStuffReplica::OnVote(runtime::NodeId from, const HsVoteMsg& msg) {
   GuardedSend(PeerActors(), phase_msg);
 }
 
-void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
-                              const HsPhaseMsg::Verified* pre) {
+void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg) {
   if (msg.v != view_ || IsLeader() || from != ActorOf(current_leader())) {
     return;
   }
-  // Justify QC certifies the previous phase. This is the per-message
-  // bottleneck (quorum-many signature checks), so the threaded backend's
-  // prologue precomputes the verdict off the loop thread.
-  if (!(pre != nullptr ? pre->justify_ok : JustifyOk(msg))) {
+  // Justify QC certifies the previous phase (quorum-many signature checks,
+  // the per-message bottleneck).
+  const HsPhase prev_phase =
+      msg.phase == HsPhase::kPreCommit
+          ? HsPhase::kPrepare
+          : (msg.phase == HsPhase::kCommit ? HsPhase::kPreCommit
+                                           : HsPhase::kCommit);
+  if (!crypto::VerifyQuorumCert(
+           *keys_, msg.justify,
+           HsVoteDigest(prev_phase, msg.v, msg.n, msg.block_digest),
+           config_.quorum())
+           .ok()) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -364,19 +367,6 @@ void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
   ArmViewTimer();
 }
 
-bool HotStuffReplica::JustifyOk(const HsPhaseMsg& msg) const {
-  const HsPhase prev_phase =
-      msg.phase == HsPhase::kPreCommit
-          ? HsPhase::kPrepare
-          : (msg.phase == HsPhase::kCommit ? HsPhase::kPreCommit
-                                           : HsPhase::kCommit);
-  return crypto::VerifyQuorumCert(
-             *keys_, msg.justify,
-             HsVoteDigest(prev_phase, msg.v, msg.n, msg.block_digest),
-             config_.quorum())
-      .ok();
-}
-
 void HotStuffReplica::OnNewView(runtime::NodeId from, const HsNewViewMsg& msg) {
   (void)from;
   if (msg.v <= view_) return;
@@ -412,26 +402,6 @@ void HotStuffReplica::DecideBlock(ledger::TxBlock block) {
     buffered_commits_.erase(it);
     DecideBlock(std::move(next));
   }
-}
-
-runtime::Node::VerdictFn HotStuffReplica::PreVerify(
-    runtime::NodeId from, const runtime::MessagePtr& msg) {
-  if (auto m = std::dynamic_pointer_cast<const HsProposalMsg>(msg)) {
-    auto pre = std::make_shared<HsProposalMsg::Verified>();
-    pre->block_digest = m->block.Digest();
-    pre->vote_digest = HsVoteDigest(HsPhase::kPrepare, m->v, m->block.n(),
-                                    pre->block_digest);
-    pre->sig_ok = keys_->Verify(m->sig, pre->vote_digest);
-    return CrashGated(
-        [this, from, m, pre] { OnProposal(from, *m, pre.get()); });
-  }
-  if (auto m = std::dynamic_pointer_cast<const HsPhaseMsg>(msg)) {
-    auto pre = std::make_shared<HsPhaseMsg::Verified>();
-    pre->justify_ok = JustifyOk(*m);
-    return CrashGated([this, from, m, pre] { OnPhase(from, *m, pre.get()); });
-  }
-  (void)from;
-  return nullptr;  // Votes, NewView, client and sync traffic: no split.
 }
 
 void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) {

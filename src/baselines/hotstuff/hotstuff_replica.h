@@ -46,16 +46,6 @@ struct HsProposalMsg : public runtime::NetMessage {
   ledger::TxBlock block;
   crypto::Signature sig;
 
-  /// Stateless prologue result (never serialized): the block hash, the
-  /// kPrepare vote digest derived from it, and the leader signature over
-  /// that digest. The handler still checks signer-vs-schedule and its
-  /// vote-binding rule on the loop thread.
-  struct Verified {
-    crypto::Sha256Digest block_digest{};
-    crypto::Sha256Digest vote_digest{};
-    bool sig_ok = false;
-  };
-
   size_t WireSize() const override {
     size_t payload = 0;
     for (const auto& tx : block.txs()) payload += tx.WireBytes();
@@ -88,13 +78,6 @@ struct HsPhaseMsg : public runtime::NetMessage {
   crypto::Sha256Digest block_digest{};
   crypto::QuorumCert justify;
   crypto::Signature sig;
-
-  /// Stateless prologue result (never serialized): the justify QC checked
-  /// over the previous phase's vote digest, which is derived purely from
-  /// message fields (phase, v, n, block_digest) plus the configured quorum.
-  struct Verified {
-    bool justify_ok = false;
-  };
 
   size_t WireSize() const override {
     return core::kHeaderBytes + core::kQcBytes + core::kSigBytes;
@@ -145,13 +128,6 @@ class HotStuffReplica : public core::ReplicaBase {
 
   void OnStart() override;
   void OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) override;
-  /// Stateless prologues for the threaded backend's worker pool: proposal
-  /// hashing + leader signature, and phase-QC verification (the dominant
-  /// cost — see HsPhaseMsg::NumSigVerifies). Votes check against live
-  /// builder state and are declined. See src/core/pre_verify.cc for the
-  /// splitting discipline.
-  runtime::Node::VerdictFn PreVerify(runtime::NodeId from,
-                                     const runtime::MessagePtr& msg) override;
   void OnTimer(uint64_t tag) override;
 
   types::View view() const { return view_; }
@@ -180,14 +156,9 @@ class HotStuffReplica : public core::ReplicaBase {
   void EnterView(types::View v, bool failed);
   void AdvanceView(bool failed);
   void MaybePropose(bool allow_partial);
-  void OnProposal(runtime::NodeId from, const HsProposalMsg& msg,
-                  const HsProposalMsg::Verified* pre = nullptr);
+  void OnProposal(runtime::NodeId from, const HsProposalMsg& msg);
   void OnVote(runtime::NodeId from, const HsVoteMsg& msg);
-  void OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
-               const HsPhaseMsg::Verified* pre = nullptr);
-  /// The justify QC checked over the previous phase's vote digest
-  /// (stateless).
-  bool JustifyOk(const HsPhaseMsg& msg) const;
+  void OnPhase(runtime::NodeId from, const HsPhaseMsg& msg);
   void OnNewView(runtime::NodeId from, const HsNewViewMsg& msg);
   void DecideBlock(ledger::TxBlock block);
   void ArmViewTimer();

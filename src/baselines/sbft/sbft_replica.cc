@@ -151,23 +151,19 @@ void SbftReplica::ExecuteBlock(ledger::TxBlock block) {
   }
 }
 
-void SbftReplica::OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg,
-                               const SbPrePrepareMsg::Verified* pre) {
+void SbftReplica::OnPrePrepare(runtime::NodeId from,
+                               const SbPrePrepareMsg& msg) {
   if (msg.v != view_ || IsLeader()) return;
   if (msg.block.n() <= store_.LatestTxSeq()) return;  // Stale.
-  const crypto::Sha256Digest digest =
-      pre != nullptr ? pre->block_digest : msg.block.Digest();
+  const crypto::Sha256Digest digest = msg.block.Digest();
   // Share binding: never back a second body at a sequence we already
   // shared for (commit quorums need 2f+1 shares, so this keeps at most
   // one certifiable body per sequence across view rotations).
   auto bound = share_bound_.find(msg.block.n());
   if (bound != share_bound_.end() && bound->second != digest) return;
   const crypto::Sha256Digest stage_digest =
-      pre != nullptr ? pre->stage_digest
-                     : SbStageDigest(0, msg.v, msg.block.n(), digest);
-  const bool sig_ok =
-      pre != nullptr ? pre->sig_ok : keys_->Verify(msg.sig, stage_digest);
-  if (!sig_ok) {
+      SbStageDigest(0, msg.v, msg.block.n(), digest);
+  if (!keys_->Verify(msg.sig, stage_digest)) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -182,10 +178,13 @@ void SbftReplica::OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg,
   GuardedSend(from, share);
 }
 
-void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg,
-                          const SbProofMsg::Verified* pre) {
+void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg) {
   if (msg.v != view_ || IsLeader()) return;
-  if (!(pre != nullptr ? pre->proof_ok : ProofOk(msg))) {
+  if (!crypto::VerifyQuorumCert(*keys_, msg.proof,
+                                SbStageDigest(static_cast<int>(msg.stage),
+                                              msg.v, msg.n, msg.block_digest),
+                                config_.quorum())
+           .ok()) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -214,35 +213,6 @@ void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg,
     pending_blocks_.erase(it);
     ExecuteBlock(std::move(block));
   }
-}
-
-bool SbftReplica::ProofOk(const SbProofMsg& msg) const {
-  return crypto::VerifyQuorumCert(
-             *keys_, msg.proof,
-             SbStageDigest(static_cast<int>(msg.stage), msg.v, msg.n,
-                           msg.block_digest),
-             config_.quorum())
-      .ok();
-}
-
-runtime::Node::VerdictFn SbftReplica::PreVerify(
-    runtime::NodeId from, const runtime::MessagePtr& msg) {
-  if (auto m = std::dynamic_pointer_cast<const SbPrePrepareMsg>(msg)) {
-    auto pre = std::make_shared<SbPrePrepareMsg::Verified>();
-    pre->block_digest = m->block.Digest();
-    pre->stage_digest = SbStageDigest(0, m->v, m->block.n(),
-                                      pre->block_digest);
-    pre->sig_ok = keys_->Verify(m->sig, pre->stage_digest);
-    return CrashGated(
-        [this, from, m, pre] { OnPrePrepare(from, *m, pre.get()); });
-  }
-  if (auto m = std::dynamic_pointer_cast<const SbProofMsg>(msg)) {
-    auto pre = std::make_shared<SbProofMsg::Verified>();
-    pre->proof_ok = ProofOk(*m);
-    return CrashGated([this, from, m, pre] { OnProof(from, *m, pre.get()); });
-  }
-  (void)from;
-  return nullptr;  // Shares, client and sync traffic: no split.
 }
 
 void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) {

@@ -32,16 +32,6 @@ struct SbPrePrepareMsg : public runtime::NetMessage {
   /// the baseline HMAC verify in the cost model.
   int crypto_weight = 8;
 
-  /// Stateless prologue result (never serialized): the block hash, the
-  /// stage-0 digest derived from it, and the leader signature over that
-  /// digest — the modeled threshold-RSA hotspot, moved off the loop thread
-  /// by the threaded backend's worker pool.
-  struct Verified {
-    crypto::Sha256Digest block_digest{};
-    crypto::Sha256Digest stage_digest{};
-    bool sig_ok = false;
-  };
-
   size_t WireSize() const override {
     size_t payload = 0;
     for (const auto& tx : block.txs()) payload += tx.WireBytes();
@@ -76,13 +66,6 @@ struct SbProofMsg : public runtime::NetMessage {
   crypto::QuorumCert proof;
   crypto::Signature sig;
 
-  /// Stateless prologue result (never serialized): the combined proof
-  /// checked over SbStageDigest(stage, v, n, block_digest), all of which
-  /// come from message fields plus the configured quorum.
-  struct Verified {
-    bool proof_ok = false;
-  };
-
   size_t WireSize() const override {
     return core::kHeaderBytes + core::kQcBytes + core::kSigBytes;
   }
@@ -116,12 +99,6 @@ class SbftReplica : public core::ReplicaBase {
 
   void OnStart() override;
   void OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) override;
-  /// Stateless prologues for the threaded backend's worker pool:
-  /// pre-prepare hashing + leader signature (the modeled RSA hotspot) and
-  /// proof verification. Shares check against live builder state and are
-  /// declined. See src/core/pre_verify.cc for the splitting discipline.
-  runtime::Node::VerdictFn PreVerify(runtime::NodeId from,
-                                     const runtime::MessagePtr& msg) override;
   void OnTimer(uint64_t tag) override;
 
   types::View view() const { return view_; }
@@ -144,12 +121,8 @@ class SbftReplica : public core::ReplicaBase {
 
   void MaybePropose(bool allow_partial);
   void ExecuteBlock(ledger::TxBlock block);
-  void OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg,
-                    const SbPrePrepareMsg::Verified* pre = nullptr);
-  void OnProof(runtime::NodeId from, const SbProofMsg& msg,
-               const SbProofMsg::Verified* pre = nullptr);
-  /// The combined proof checked over its stage digest (stateless).
-  bool ProofOk(const SbProofMsg& msg) const;
+  void OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg);
+  void OnProof(runtime::NodeId from, const SbProofMsg& msg);
 
   SbftConfig config_;
 

@@ -32,16 +32,6 @@ struct OrdMsg : public runtime::NetMessage {
   std::vector<types::Transaction> txs;
   crypto::Signature sig;  ///< Leader signature over OrderingDigest.
 
-  /// Stateless prologue results (PreVerify, threaded backend): the block
-  /// body rebuilt and hashed off the loop thread, plus the signature
-  /// verdict. Never serialized — not part of the wire format.
-  struct Verified {
-    ledger::TxBlock block;
-    crypto::Sha256Digest block_digest{};
-    crypto::Sha256Digest ord_digest{};
-    bool sig_ok = false;
-  };
-
   size_t WireSize() const override {
     size_t payload = 0;
     for (const auto& tx : txs) payload += tx.WireBytes();
@@ -69,14 +59,6 @@ struct CmtMsg : public runtime::NetMessage {
   crypto::Sha256Digest block_digest{};
   crypto::QuorumCert ordering_qc;
   crypto::Signature sig;
-
-  /// Stateless prologue results: QC and leader-signature verdicts over the
-  /// digests derived from this message's own (v, n, block_digest).
-  struct Verified {
-    crypto::Sha256Digest cmt_digest{};
-    bool qc_ok = false;
-    bool sig_ok = false;
-  };
 
   size_t WireSize() const override {
     return kHeaderBytes + kQcBytes + kSigBytes;
@@ -113,11 +95,6 @@ struct ComptRelayMsg : public runtime::NetMessage {
   types::Transaction tx;
   crypto::Signature sig;
 
-  /// Stateless prologue result: sig verified over tx.Digest().
-  struct Verified {
-    bool sig_ok = false;
-  };
-
   size_t WireSize() const override {
     return tx.WireBytes() + kHeaderBytes + kSigBytes;
   }
@@ -139,11 +116,6 @@ struct ConfVcMsg : public runtime::NetMessage {
   types::Transaction tx;  ///< The complained tx (kClientComplaint only).
   crypto::Signature sig;
 
-  /// Stateless prologue result: sig verified over ConfDigest(v).
-  struct Verified {
-    bool sig_ok = false;
-  };
-
   size_t WireSize() const override {
     return kHeaderBytes + tx.WireBytes() + kSigBytes;
   }
@@ -155,13 +127,6 @@ struct ConfVcMsg : public runtime::NetMessage {
 struct ReVcMsg : public runtime::NetMessage {
   types::View v = 0;
   crypto::Signature partial;
-
-  /// Stateless prologue result: partial verified over ConfDigest(v) — the
-  /// digest the inspection builder holds whenever the handler's
-  /// (inspecting, v == view) guard passes.
-  struct Verified {
-    bool sig_ok = false;
-  };
 
   size_t WireSize() const override { return kHeaderBytes + kSigBytes; }
   int NumSigVerifies() const override { return 1; }
@@ -183,19 +148,6 @@ struct CampMsg : public runtime::NetMessage {
   types::View latest_vc_view = 0;      ///< Candidate's vcBlock view.
   crypto::Signature sig;
 
-  /// Stateless prologue results: campaign signature, conf_QC (C2), the
-  /// candidate snapshot's digest, and the PoW check (C5) against that
-  /// digest. The stateful criteria — C4's reputation recomputation and the
-  /// snapshot-vs-own-chain comparison — stay on the loop thread; pow_ok is
-  /// only meaningful once the epilogue confirms snapshot_digest matches
-  /// this replica's chain at latest_n.
-  struct Verified {
-    crypto::Sha256Digest snapshot_digest{};
-    bool sig_ok = false;
-    bool conf_qc_ok = false;
-    bool pow_ok = false;
-  };
-
   size_t WireSize() const override {
     // conf_QC + header + nonce/hash + latest block header.
     return kQcBytes + kHeaderBytes + 40 + 2 * kHeaderBytes + kSigBytes;
@@ -209,13 +161,6 @@ struct VoteCpMsg : public runtime::NetMessage {
   types::View v_new = 0;
   types::ReplicaId candidate = 0;
   crypto::Signature partial;
-
-  /// Stateless prologue result: partial verified over
-  /// VoteDigest(v_new, candidate) — the candidate's builder digest
-  /// whenever the handler's (v_new, candidate) guards pass.
-  struct Verified {
-    bool sig_ok = false;
-  };
 
   size_t WireSize() const override { return kHeaderBytes + kSigBytes; }
   int NumSigVerifies() const override { return 1; }
@@ -316,11 +261,6 @@ struct HeartbeatMsg : public runtime::NetMessage {
   types::View v = 0;
   types::SeqNum latest_n = 0;
   crypto::Signature sig;
-
-  /// Stateless prologue result: sig verified over HeartbeatDigest(v, n).
-  struct Verified {
-    bool sig_ok = false;
-  };
 
   size_t WireSize() const override { return kHeaderBytes + kSigBytes; }
   int NumSigVerifies() const override { return 1; }

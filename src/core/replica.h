@@ -51,12 +51,6 @@ class PrestigeReplica : public ReplicaBase {
   void OnStart() override;
   void OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) override;
   void OnTimer(uint64_t tag) override;
-  /// Split verification for the threaded backend's worker pool: performs
-  /// the stateless prologue (digests, HMAC/QC checks, PoW) off the loop
-  /// thread for the hot message types and returns an epilogue that reruns
-  /// the handler with the precomputed verdicts. See pre_verify.cc.
-  runtime::Node::VerdictFn PreVerify(runtime::NodeId from,
-                                     const runtime::MessagePtr& msg) override;
 
   // Observability.
   Role role() const { return role_; }
@@ -173,18 +167,12 @@ class PrestigeReplica : public ReplicaBase {
   /// Broadcasts an Ord to all peers; with an equivocating adversary
   /// installed, follower groups receive conflicting signed variants.
   void BroadcastOrd(const std::shared_ptr<OrdMsg>& ord);
-  /// Handlers with a `pre` parameter accept precomputed stateless verify
-  /// results from PreVerify (threaded backend); pre == nullptr (simulator
-  /// and workers=0 path) computes everything inline, byte-identically.
-  void OnOrd(runtime::NodeId from, const OrdMsg& ord,
-             OrdMsg::Verified* pre = nullptr);
+  void OnOrd(runtime::NodeId from, const OrdMsg& ord);
   void OnOrdReply(runtime::NodeId from, const OrdReplyMsg& reply);
-  void OnCmt(runtime::NodeId from, const CmtMsg& cmt,
-             const CmtMsg::Verified* pre = nullptr);
+  void OnCmt(runtime::NodeId from, const CmtMsg& cmt);
   void OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply);
   void OnTxBlockMsg(runtime::NodeId from, const TxBlockMsg& msg);
-  void OnHeartbeat(runtime::NodeId from, const HeartbeatMsg& hb,
-                   const HeartbeatMsg::Verified* pre = nullptr);
+  void OnHeartbeat(runtime::NodeId from, const HeartbeatMsg& hb);
   /// Verifies `block`'s commit QC over its own body, then commits it.
   void CommitBlock(ledger::TxBlock&& block);
   /// Commits a block whose commit QC is already verified: moves it into
@@ -203,8 +191,7 @@ class PrestigeReplica : public ReplicaBase {
   // ------------------------------------------------------- view change
   void OnClientComplaint(runtime::NodeId from,
                          const types::ClientComplaint& compt);
-  void OnComptRelay(runtime::NodeId from, const ComptRelayMsg& msg,
-                    const ComptRelayMsg::Verified* pre = nullptr);
+  void OnComptRelay(runtime::NodeId from, const ComptRelayMsg& msg);
   /// Arms a complaint-wait timer for the complaint about request `id`,
   /// filling `state`'s timer/probe fields. Timer tags carry only 48 payload
   /// bits, too few for a (32-bit pool, 64-bit seq) id, so the id is mapped
@@ -218,22 +205,17 @@ class PrestigeReplica : public ReplicaBase {
   void ResolveComplaint(RequestMap<ComplaintState>::iterator it);
   void ResolveAllComplaints();
   void StartInspection(VcReason reason, const types::Transaction* tx);
-  void OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
-                const ConfVcMsg::Verified* pre = nullptr);
-  void OnReVc(runtime::NodeId from, const ReVcMsg& msg,
-              const ReVcMsg::Verified* pre = nullptr);
+  void OnConfVc(runtime::NodeId from, const ConfVcMsg& msg);
+  void OnReVc(runtime::NodeId from, const ReVcMsg& msg);
   void BecomeRedeemer(crypto::QuorumCert conf_qc, types::View confirmed_view,
                       types::View v_new);
   void OnPowSolved();
   void BecomeCandidate();
   /// Abandons any campaign and resumes normal follower operation.
   void ReturnToFollower();
-  void OnCamp(runtime::NodeId from, const CampMsg& camp,
-              const CampMsg::Verified* pre = nullptr);
-  bool VerifyCampaign(runtime::NodeId from, const CampMsg& camp,
-                      const CampMsg::Verified* pre = nullptr);
-  void OnVoteCp(runtime::NodeId from, const VoteCpMsg& vote,
-                const VoteCpMsg::Verified* pre = nullptr);
+  void OnCamp(runtime::NodeId from, const CampMsg& camp);
+  bool VerifyCampaign(runtime::NodeId from, const CampMsg& camp);
+  void OnVoteCp(runtime::NodeId from, const VoteCpMsg& vote);
   void BecomeLeaderOfView();
   void OnVcBlockMsg(runtime::NodeId from, const VcBlockMsg& msg);
   void OnVcYes(runtime::NodeId from, const VcYesMsg& msg);

@@ -11,8 +11,8 @@
 // protocol class.
 //
 // Every FaultSpec therefore reaches all three protocols through the same
-// code: a crashed replica processes nothing (OnMessage/OnTimer and every
-// PreVerify epilogue check CrashedNow()), a quiet one emits nothing
+// code: a crashed replica processes nothing (OnMessage/OnTimer check
+// CrashedNow()), a quiet one emits nothing
 // (GuardedSend), and an equivocating one corrupts every signature it sends
 // (SignMaybeCorrupt). The only protocol input is ActingAsLeader(), which
 // an F4 (kRepeatedVc) attacker's in-office misbehaviour consults.
@@ -103,8 +103,7 @@ class ReplicaBase : public runtime::Node {
 
   // ------------------------------------------------------------ faults
 
-  /// The OnMessage/OnTimer crash gate; PreVerify epilogues re-check it at
-  /// delivery time (the fault may activate between prologue and epilogue).
+  /// The OnMessage/OnTimer crash gate.
   bool CrashedNow() const;
   bool QuietActive() const;
   bool EquivocateActive() const;
@@ -116,15 +115,6 @@ class ReplicaBase : public runtime::Node {
 
   /// Signs `digest`, corrupting the MAC when equivocating (F3).
   crypto::Signature SignMaybeCorrupt(const crypto::Sha256Digest& digest);
-
-  /// A PreVerify epilogue that runs `handler` unless the replica crashed
-  /// between prologue and epilogue.
-  template <typename Handler>
-  runtime::Node::VerdictFn CrashGated(Handler handler) {
-    return [this, handler = std::move(handler)]() {
-      if (!CrashedNow()) handler();
-    };
-  }
 
   // Active-adversary queries (all false when no policy is installed).
   bool AdversaryWedged() const {

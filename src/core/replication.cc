@@ -104,8 +104,7 @@ void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
 
 // ------------------------------------------------------ follower: phase 1
 
-void PrestigeReplica::OnOrd(runtime::NodeId from, const OrdMsg& ord,
-                            OrdMsg::Verified* pre) {
+void PrestigeReplica::OnOrd(runtime::NodeId from, const OrdMsg& ord) {
   if (ord.v < view_) return;  // Never respond to lower views (§4.3).
   if (ord.v > view_) {
     // We are behind on view changes; catch up from the sender.
@@ -116,29 +115,16 @@ void PrestigeReplica::OnOrd(runtime::NodeId from, const OrdMsg& ord,
   if (role_ == Role::kLeader || from != ActorOf(leader_)) return;
   if (ord.n <= store_.LatestTxSeq()) return;  // Stale retransmission.
 
-  // Heavy prologue (block rebuild + hashing + leader signature): use the
-  // worker-pool results when present, compute inline otherwise.
   ledger::TxBlock block;
-  crypto::Sha256Digest digest;
-  crypto::Sha256Digest ord_digest;
-  bool sig_ok;
-  if (pre != nullptr) {
-    block = std::move(pre->block);
-    digest = pre->block_digest;
-    ord_digest = pre->ord_digest;
-    sig_ok = pre->sig_ok;
-  } else {
-    block.v = ord.v;
-    block.set_n(ord.n);
-    block.set_prev_hash(ord.prev_hash);
-    block.set_txs(ord.txs);
-    block.status.assign(block.BatchSize(), 1);
-    digest = block.Digest();
-    ord_digest = ledger::OrderingDigest(ord.v, ord.n, digest);
-    sig_ok = keys_->Verify(ord.sig, ord_digest);
-  }
-
-  if (!sig_ok || ord.sig.signer != leader_) {
+  block.v = ord.v;
+  block.set_n(ord.n);
+  block.set_prev_hash(ord.prev_hash);
+  block.set_txs(ord.txs);
+  block.status.assign(block.BatchSize(), 1);
+  const crypto::Sha256Digest digest = block.Digest();
+  const crypto::Sha256Digest ord_digest =
+      ledger::OrderingDigest(ord.v, ord.n, digest);
+  if (!keys_->Verify(ord.sig, ord_digest) || ord.sig.signer != leader_) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -223,8 +209,7 @@ void PrestigeReplica::OnOrdReply(runtime::NodeId from, const OrdReplyMsg& reply)
 
 // ------------------------------------------------------ follower: phase 2
 
-void PrestigeReplica::OnCmt(runtime::NodeId from, const CmtMsg& cmt,
-                            const CmtMsg::Verified* pre) {
+void PrestigeReplica::OnCmt(runtime::NodeId from, const CmtMsg& cmt) {
   if (cmt.v != view_ || role_ == Role::kLeader || from != ActorOf(leader_)) {
     return;
   }
@@ -236,26 +221,16 @@ void PrestigeReplica::OnCmt(runtime::NodeId from, const CmtMsg& cmt,
     ++metrics_.invalid_messages;
     return;
   }
-  // Past this point digest == cmt.block_digest, so prologue verdicts
-  // (computed over the message's own digest) apply to our pending body.
-  const bool qc_ok =
-      pre != nullptr
-          ? pre->qc_ok
-          : crypto::VerifyQuorumCert(*keys_, cmt.ordering_qc,
-                                     ledger::OrderingDigest(cmt.v, cmt.n,
-                                                            digest),
-                                     config_.quorum())
-                .ok();
-  if (!qc_ok) {
+  if (!crypto::VerifyQuorumCert(*keys_, cmt.ordering_qc,
+                                ledger::OrderingDigest(cmt.v, cmt.n, digest),
+                                config_.quorum())
+           .ok()) {
     ++metrics_.invalid_messages;
     return;
   }
   const crypto::Sha256Digest cmt_digest =
-      pre != nullptr ? pre->cmt_digest
-                     : ledger::CommitDigest(cmt.v, cmt.n, digest);
-  const bool sig_ok =
-      pre != nullptr ? pre->sig_ok : keys_->Verify(cmt.sig, cmt_digest);
-  if (!sig_ok || cmt.sig.signer != leader_) {
+      ledger::CommitDigest(cmt.v, cmt.n, digest);
+  if (!keys_->Verify(cmt.sig, cmt_digest) || cmt.sig.signer != leader_) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -405,8 +380,8 @@ void PrestigeReplica::DrainBufferedBlocks() {
 
 // -------------------------------------------------------------- liveness
 
-void PrestigeReplica::OnHeartbeat(runtime::NodeId from, const HeartbeatMsg& hb,
-                                  const HeartbeatMsg::Verified* pre) {
+void PrestigeReplica::OnHeartbeat(runtime::NodeId from,
+                                  const HeartbeatMsg& hb) {
   if (hb.v < view_) return;
   if (hb.v > view_) {
     RequestSync(from, SyncReqMsg::Kind::kVcBlocks, store_.CurrentView(),
@@ -414,11 +389,8 @@ void PrestigeReplica::OnHeartbeat(runtime::NodeId from, const HeartbeatMsg& hb,
     return;
   }
   if (from != ActorOf(leader_)) return;
-  const bool sig_ok =
-      pre != nullptr
-          ? pre->sig_ok
-          : keys_->Verify(hb.sig, HeartbeatDigest(hb.v, hb.latest_n));
-  if (!sig_ok || hb.sig.signer != leader_) {
+  if (!keys_->Verify(hb.sig, HeartbeatDigest(hb.v, hb.latest_n)) ||
+      hb.sig.signer != leader_) {
     ++metrics_.invalid_messages;
     return;
   }

@@ -70,13 +70,11 @@ void PrestigeReplica::ArmComplaintTimer(RequestId id,
   state.timer = SetTimer(config_.complaint_wait, Tag(kComplaintWait, probe));
 }
 
-void PrestigeReplica::OnComptRelay(runtime::NodeId from, const ComptRelayMsg& msg,
-                                   const ComptRelayMsg::Verified* pre) {
+void PrestigeReplica::OnComptRelay(runtime::NodeId from,
+                                   const ComptRelayMsg& msg) {
   (void)from;
   if (role_ != Role::kLeader) return;
-  const bool sig_ok =
-      pre != nullptr ? pre->sig_ok : keys_->Verify(msg.sig, msg.tx.Digest());
-  if (!sig_ok) {
+  if (!keys_->Verify(msg.sig, msg.tx.Digest())) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -155,14 +153,10 @@ void PrestigeReplica::StartInspection(VcReason reason,
       SetTimer(config_.complaint_wait, Tag(kInspectionTimeout));
 }
 
-void PrestigeReplica::OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
-                               const ConfVcMsg::Verified* pre) {
+void PrestigeReplica::OnConfVc(runtime::NodeId from, const ConfVcMsg& msg) {
   if (msg.v != view_) return;
   if (role_ == Role::kLeader) return;  // A leader never endorses its removal.
-  const bool sig_ok = pre != nullptr
-                          ? pre->sig_ok
-                          : keys_->Verify(msg.sig, ledger::ConfDigest(msg.v));
-  if (!sig_ok) {
+  if (!keys_->Verify(msg.sig, ledger::ConfDigest(msg.v))) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -202,17 +196,11 @@ void PrestigeReplica::OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
       Now() + rng()->NextInRange(util::Millis(300), util::Millis(900)));
 }
 
-void PrestigeReplica::OnReVc(runtime::NodeId from, const ReVcMsg& msg,
-                             const ReVcMsg::Verified* pre) {
+void PrestigeReplica::OnReVc(runtime::NodeId from, const ReVcMsg& msg) {
   (void)from;
   if (!inspecting_ || msg.v != view_) return;
-  // While inspecting_, revc_builder_.digest() == ConfDigest(view_) ==
-  // ConfDigest(msg.v) (built in StartInspection over view_, and msg.v ==
-  // view_ here), so the prologue's stateless verdict is exactly this check.
   const crypto::Sha256Digest& conf_digest = revc_builder_.digest();
-  const bool sig_ok =
-      pre != nullptr ? pre->sig_ok : keys_->Verify(msg.partial, conf_digest);
-  if (!sig_ok) {
+  if (!keys_->Verify(msg.partial, conf_digest)) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -414,25 +402,19 @@ void PrestigeReplica::BecomeCandidate() {
   election_timer_ = SetTimer(config_.election_timeout, Tag(kElectionTimeout));
 }
 
-bool PrestigeReplica::VerifyCampaign(runtime::NodeId from, const CampMsg& camp,
-                                     const CampMsg::Verified* pre) {
+bool PrestigeReplica::VerifyCampaign(runtime::NodeId from,
+                                     const CampMsg& camp) {
   // Signature of the candidate.
   const types::ReplicaId candidate = camp.sig.signer;
   if (candidate >= config_.n || ActorOf(candidate) != from) return false;
-  const bool sig_ok = pre != nullptr
-                          ? pre->sig_ok
-                          : keys_->Verify(camp.sig, CampaignDigest(camp));
-  if (!sig_ok) return false;
+  if (!keys_->Verify(camp.sig, CampaignDigest(camp))) return false;
 
   // C2: the view change was confirmed by f+1 servers.
-  const bool conf_qc_ok =
-      pre != nullptr
-          ? pre->conf_qc_ok
-          : crypto::VerifyQuorumCert(*keys_, camp.conf_qc,
-                                     ledger::ConfDigest(camp.v),
-                                     config_.confirm())
-                .ok();
-  if (!conf_qc_ok) return false;
+  if (!crypto::VerifyQuorumCert(*keys_, camp.conf_qc,
+                                ledger::ConfDigest(camp.v), config_.confirm())
+           .ok()) {
+    return false;
+  }
 
   // C4: recompute the candidate's rp and ci with the same scheme. Per
   // Algorithm 2 line 21, ti is the candidate's txBlock.n — under a live
@@ -464,30 +446,21 @@ bool PrestigeReplica::VerifyCampaign(runtime::NodeId from, const CampMsg& camp,
     const ledger::TxBlock* mine = store_.TxBlockAt(camp.latest_n);
     if (mine == nullptr) return false;
     payload = mine->Digest();
-    // The prologue hashed the message's own snapshot; that verdict only
-    // transfers once the snapshot is proven identical to our chain's block.
-    const crypto::Sha256Digest claimed =
-        pre != nullptr ? pre->snapshot_digest : camp.latest_tx_block.Digest();
-    if (camp.latest_tx_block.n() != camp.latest_n || claimed != payload) {
+    if (camp.latest_tx_block.n() != camp.latest_n ||
+        camp.latest_tx_block.Digest() != payload) {
       return false;
     }
   }
-  if (config_.pow_mode == PowMode::kReal) {
-    // pre->pow_ok was computed over pre->snapshot_digest with the claimed
-    // bits; both are pinned to payload / required_bits by the checks above.
-    const bool pow_ok =
-        pre != nullptr
-            ? pre->pow_ok
-            : crypto::PowVerify(payload, camp.nonce, required_bits);
-    if (!pow_ok) return false;
+  if (config_.pow_mode == PowMode::kReal &&
+      !crypto::PowVerify(payload, camp.nonce, required_bits)) {
+    return false;
   }
   // In modeled mode the redeemer's work was expressed in virtual time; the
   // solution token is accepted once C4 pins the difficulty (DESIGN.md §4).
   return true;
 }
 
-void PrestigeReplica::OnCamp(runtime::NodeId from, const CampMsg& camp,
-                             const CampMsg::Verified* pre) {
+void PrestigeReplica::OnCamp(runtime::NodeId from, const CampMsg& camp) {
   if (camp.v_new <= view_) return;  // Stale campaign (line 16).
   if (votes_by_view_.count(camp.v_new) > 0) {
     return;  // C1: vote once per view number.
@@ -514,7 +487,7 @@ void PrestigeReplica::OnCamp(runtime::NodeId from, const CampMsg& camp,
     return;
   }
 
-  if (!VerifyCampaign(from, camp, pre)) {
+  if (!VerifyCampaign(from, camp)) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -540,20 +513,14 @@ void PrestigeReplica::OnCamp(runtime::NodeId from, const CampMsg& camp,
   GuardedSend(from, vote);
 }
 
-void PrestigeReplica::OnVoteCp(runtime::NodeId from, const VoteCpMsg& vote,
-                               const VoteCpMsg::Verified* pre) {
+void PrestigeReplica::OnVoteCp(runtime::NodeId from, const VoteCpMsg& vote) {
   (void)from;
   if (role_ != Role::kCandidate || vote.v_new != campaign_view_ ||
       vote.candidate != id_) {
     return;
   }
-  // While campaigning, vote_builder_.digest() == VoteDigest(campaign_view_,
-  // id_) == VoteDigest(vote.v_new, vote.candidate) under the guards above,
-  // so the prologue's stateless verdict matches this check exactly.
   const crypto::Sha256Digest& digest = vote_builder_.digest();
-  const bool sig_ok =
-      pre != nullptr ? pre->sig_ok : keys_->Verify(vote.partial, digest);
-  if (!sig_ok) {
+  if (!keys_->Verify(vote.partial, digest)) {
     ++metrics_.invalid_messages;
     return;
   }

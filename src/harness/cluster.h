@@ -74,9 +74,6 @@ struct WorkloadOptions {
   /// Command shape the virtual clients issue (opaque vs real KV puts).
   workload::CommandKind command_kind = workload::CommandKind::kOpaque;
   uint64_t kv_key_space = 1024;
-  /// Threaded backend only (ignored by the others): size of each node's
-  /// OrderedRunner prologue pool. 0 = classic single-thread-per-node path.
-  uint32_t workers_per_node = 0;
 
   // ---- Sharding ---------------------------------------------------------
   /// Number of consensus groups. Each group is an independent replica set
@@ -169,14 +166,13 @@ class WallClockBackend {
   Runtime runtime_;
 };
 
-/// runtime::ThreadedRuntime: in-process mailboxes between per-node threads,
-/// with `workers_per_node` OrderedRunner prologue workers.
+/// runtime::ThreadedRuntime: in-process mailboxes between per-node threads.
 class ThreadedBackend : public WallClockBackend<runtime::ThreadedRuntime> {
  public:
   static constexpr const char* kName = "threaded";
 
   explicit ThreadedBackend(const WorkloadOptions& workload)
-      : WallClockBackend(workload.seed, workload.workers_per_node) {}
+      : WallClockBackend(workload.seed) {}
 
   runtime::NodeId Add(runtime::Node* node, std::string* /*error*/) {
     return runtime_.AddNode(node);

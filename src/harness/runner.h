@@ -80,7 +80,6 @@ struct RunResult {
   int64_t result_mismatches = 0;     ///< Conflicting result digests seen.
   int64_t executed = 0;              ///< Exactly-once service executions.
   uint64_t messages_delivered = 0;   ///< Wall-clock backends only.
-  uint32_t workers = 0;  ///< Threaded prologue workers per node.
   net::FrameCounters net;  ///< Socket backend only.
 
   std::vector<GroupRunStats> per_group;
@@ -132,7 +131,6 @@ RunResult Harvest(Cluster<Replica, Config, Backend>& cluster,
   if constexpr (!std::is_same_v<Backend, SimBackend>) {
     auto& rt = cluster.runtime();
     result.messages_delivered = rt.messages_delivered();
-    result.workers = rt.workers_per_node();
     if constexpr (std::is_same_v<Backend, SocketBackend>) {
       result.net = rt.net_stats();
     }

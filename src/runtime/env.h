@@ -17,8 +17,8 @@
 //     discrete-event simulator — virtual time, modelled network costs,
 //     bit-for-bit reproducible runs;
 //   * runtime::EventLoop (event_loop.h) hosts each node on its own OS
-//     thread — wall-clock time, true concurrency, optional per-node
-//     prologue worker pools — over one of two transports:
+//     thread — wall-clock time, true concurrency — over one of two
+//     transports:
 //     runtime::ThreadedRuntime (threaded_env.h), in-process mailboxes with
 //     real queues; or runtime::SocketRuntime (socket_env.h), one UDP socket
 //     per node, every message framed and carried by the kernel, in one
@@ -119,30 +119,9 @@ class Node {
   /// Called for every delivered message.
   virtual void OnMessage(NodeId from, const MessagePtr& msg) = 0;
 
-  /// Deferred tail of a split message delivery: the protocol state
-  /// transition, run on the node's loop thread in original receive order.
+  /// Called by no backend; kept only for perfbench/src/trace.h's override.
   using VerdictFn = std::function<void()>;
-
-  /// Optional split-verification hook for parallel backends (the
-  /// wall-clock OrderedRunner pools; the simulator never calls it).
-  ///
-  /// When a backend delivers messages through a worker pool it invokes
-  /// PreVerify *off the loop thread*. The implementation may perform the
-  /// CPU-heavy stateless part of handling `msg` — signature/HMAC checks,
-  /// quorum-cert verification, PoW checks, digest computation — touching
-  /// only immutable state (keys, static config, the message itself) plus
-  /// Now()/id(), and return a VerdictFn that finishes the delivery. The
-  /// VerdictFn later runs on the loop thread, in receive order, with the
-  /// usual exclusive access to node state.
-  ///
-  /// Returning nullptr declines the split: the backend falls back to a
-  /// plain in-order OnMessage on the loop thread. The default declines
-  /// everything, so nodes opt in per message type.
-  virtual VerdictFn PreVerify(NodeId from, const MessagePtr& msg) {
-    (void)from;
-    (void)msg;
-    return nullptr;
-  }
+  virtual VerdictFn PreVerify(NodeId, const MessagePtr&) { return nullptr; }
 
   /// Called when a timer set via SetTimer fires (and was not cancelled).
   virtual void OnTimer(uint64_t tag) { (void)tag; }

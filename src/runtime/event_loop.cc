@@ -22,16 +22,6 @@ void EventLoop::Start() {
   clock_.Reset();
   for (auto& owned : slots_) {
     Slot* s = owned.get();
-    if (workers_per_node_ > 0) {
-      // The wakeup must pass through the mailbox mutex: a bare wake could
-      // land between the loop's check (which saw no ready epilogue) and
-      // its wait, and be lost.
-      auto wakeup = [this, s]() {
-        { std::lock_guard<std::mutex> lock(s->mu); }
-        Wake(s);
-      };
-      s->runner = std::make_unique<OrderedRunner>(workers_per_node_, wakeup);
-    }
     s->thread = std::thread([this, s]() { RunLoop(s); });
   }
 }
@@ -70,38 +60,11 @@ void EventLoop::RunLoop(Slot* s) {
   while (Wait(s, s->env.FireDueTimers(s->node), &batch)) {
     Dispatch(s, &batch);
   }
-  if (s->runner != nullptr) {
-    // Messages already handed to the pool count as delivered: finish their
-    // prologues and apply their epilogues in order, then join the workers.
-    // Messages still in the mailbox are discarded, as on the direct path.
-    s->runner->Drain();
-    s->runner->Stop();
-  }
 }
 
 void EventLoop::Dispatch(Slot* s, Batch* batch) {
   delivered_.fetch_add(batch->size(), std::memory_order_relaxed);
-  Node* node = s->node;
-  OrderedRunner* runner = s->runner.get();
-  if (runner == nullptr) {
-    for (Inbound& in : *batch) node->OnMessage(in.from, in.msg);
-  } else {
-    // Stamp each message into the pool in receive order; workers run the
-    // stateless prologue (Node::PreVerify), and the epilogues come back to
-    // this thread strictly in stamp order.
-    for (Inbound& in : *batch) {
-      const NodeId from = in.from;
-      MessagePtr msg = std::move(in.msg);
-      runner->Submit([node, from, msg]() -> OrderedRunner::Epilogue {
-        OrderedRunner::Epilogue verdict = node->PreVerify(from, msg);
-        if (verdict) return verdict;
-        // Declined: the whole handler becomes the epilogue, exactly the
-        // direct delivery, just in order later.
-        return [node, from, msg]() { node->OnMessage(from, msg); };
-      });
-    }
-    runner->RunReadyEpilogues();
-  }
+  for (Inbound& in : *batch) s->node->OnMessage(in.from, in.msg);
   batch->clear();
 }
 

@@ -10,11 +10,8 @@
 //     and its whole target list to the transport in one call;
 //   * the in-process mailbox: a mutex-guarded deque per node, drained in one
 //     swap per wakeup, plus the delivered counter (bumped once per batch);
-//   * one dispatch step per drained batch: OnMessage directly or, with a
-//     per-node OrderedRunner pool (`workers_per_node` > 0), the stateless
-//     prologue (Node::PreVerify) on the workers and the epilogues back on
-//     the loop thread in receive order — state stays single-threaded per
-//     node while verification scales across cores;
+//   * one dispatch step per drained batch: OnMessage for each message, in
+//     receive order, on the loop thread;
 //   * Start/Stop/join.
 //
 // A transport derives from EventLoop and supplies the three hooks at the
@@ -51,7 +48,6 @@
 #include <vector>
 
 #include "runtime/env.h"
-#include "runtime/ordered_runner.h"
 
 namespace prestige {
 namespace runtime {
@@ -92,13 +88,12 @@ class EventLoop {
   void Start();
 
   /// Signals every loop to exit and joins the threads. Pending messages
-  /// and timers are discarded; messages already handed to a worker pool
-  /// are finished first. Idempotent; the transports' destructors call it.
+  /// and timers are discarded. Idempotent; the transports' destructors
+  /// call it.
   void Stop();
 
   bool started() const { return started_; }
   size_t num_nodes() const { return slots_.size(); }
-  uint32_t workers_per_node() const { return workers_per_node_; }
 
   /// Microseconds of wall-clock time since Start().
   util::TimeMicros Now() const { return clock_.Now(); }
@@ -173,14 +168,10 @@ class EventLoop {
     std::mutex mu;
     Batch mailbox;
     std::atomic<bool> stop{false};
-    /// Prologue worker pool (null when workers_per_node == 0). Created in
-    /// Start(), drained and joined by the loop thread on shutdown.
-    std::unique_ptr<OrderedRunner> runner;
     std::thread thread;
   };
 
-  explicit EventLoop(uint32_t workers_per_node)
-      : workers_per_node_(workers_per_node) {}
+  EventLoop() = default;
 
   /// Binds the node to `slot`'s Env and hosts it under that Env's id.
   /// Must precede Start(); ids must be unused (see Find).
@@ -205,17 +196,14 @@ class EventLoop {
   virtual void Transmit(Slot* from, const NodeId* targets, size_t count,
                         const MessagePtr& msg) = 0;
 
-  /// Pops `slot`'s loop out of Wait. Called after a mailbox post, and —
-  /// with `mu` taken and released first, so a loop that checked its
-  /// condition under `mu` cannot miss it — by Stop and by pool workers
-  /// whose epilogue became ready.
+  /// Pops `slot`'s loop out of Wait. Called after a mailbox post, and by
+  /// Stop with `mu` taken and released first, so a loop that checked its
+  /// condition under `mu` cannot miss it.
   virtual void Wake(Slot* slot) = 0;
 
   /// Sleeps until `slot` has work or `next_deadline` (run micros; -1 = no
   /// timer armed) is due, then moves what arrived into the empty `batch`,
-  /// mailbox first. A transport built with workers_per_node > 0 must not
-  /// sleep while slot->runner->HasReady(). Returns false once the slot is
-  /// stopped.
+  /// mailbox first. Returns false once the slot is stopped.
   virtual bool Wait(Slot* slot, util::TimeMicros next_deadline,
                     Batch* batch) = 0;
 
@@ -225,7 +213,6 @@ class EventLoop {
   void RunLoop(Slot* slot);
   void Dispatch(Slot* slot, Batch* batch);
 
-  uint32_t workers_per_node_;
   bool started_ = false;
   bool stopped_ = false;
   std::atomic<uint64_t> delivered_{0};

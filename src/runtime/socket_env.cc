@@ -60,7 +60,7 @@ struct SocketRuntime::Port final : Slot {
   std::vector<net::FrameAssembler::Complete> completes;
 };
 
-SocketRuntime::SocketRuntime(uint64_t seed) : EventLoop(0), seed_(seed) {}
+SocketRuntime::SocketRuntime(uint64_t seed) : seed_(seed) {}
 
 SocketRuntime::~SocketRuntime() { Stop(); }
 

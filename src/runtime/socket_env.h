@@ -63,8 +63,7 @@ namespace runtime {
 class SocketRuntime : public EventLoop {
  public:
   /// `seed` feeds the per-node RNG derivation; every process in a
-  /// deployment must use the same seed. Messages are dispatched directly
-  /// (no OrderedRunner prologue pool).
+  /// deployment must use the same seed.
   explicit SocketRuntime(uint64_t seed);
   ~SocketRuntime() override;
 

@@ -3,8 +3,7 @@
 namespace prestige {
 namespace runtime {
 
-ThreadedRuntime::ThreadedRuntime(uint64_t seed, uint32_t workers_per_node)
-    : EventLoop(workers_per_node), root_rng_(seed) {}
+ThreadedRuntime::ThreadedRuntime(uint64_t seed) : root_rng_(seed) {}
 
 ThreadedRuntime::~ThreadedRuntime() { Stop(); }
 
@@ -32,7 +31,6 @@ bool ThreadedRuntime::Wait(Slot* slot, util::TimeMicros next_deadline,
   for (;;) {
     if (s->stop.load(std::memory_order_relaxed)) return false;
     if (!s->mailbox.empty()) break;
-    if (s->runner != nullptr && s->runner->HasReady()) break;
     if (next_deadline >= 0) {
       if (Now() >= next_deadline) break;  // Due: fire on next pass.
       s->cv.wait_until(lock, clock_.At(next_deadline));

@@ -5,7 +5,7 @@
 // Send locks the receiver's mailbox, appends the shared message, and
 // signals the receiver's condition variable: one lock and one notify per
 // copy. Each loop sleeps on that condition variable until its earliest
-// timer deadline, the next message, or a ready worker-pool epilogue.
+// timer deadline or the next message.
 //
 // Delivery is reliable and per-sender FIFO (one deque per receiver);
 // cross-sender order is whatever the locks arbitrate, which is exactly the
@@ -28,10 +28,8 @@ namespace runtime {
 class ThreadedRuntime : public EventLoop {
  public:
   /// `seed` feeds the per-node RNG forks (registration order), mirroring
-  /// the simulator's seeding discipline. `workers_per_node` > 0 gives each
-  /// node an OrderedRunner pool of that many threads for parallel message
-  /// prologues; 0 keeps the classic one-thread-per-node path.
-  explicit ThreadedRuntime(uint64_t seed, uint32_t workers_per_node = 0);
+  /// the simulator's seeding discipline.
+  explicit ThreadedRuntime(uint64_t seed);
   ~ThreadedRuntime() override;
 
   /// Registers `node` (non-owning; must outlive the runtime) and binds its

@@ -408,11 +408,11 @@ TEST(ThreadingTest, ThreadHeadersInProtocolCodeFail) {
 }
 
 TEST(ThreadingTest, RuntimeAndInfrastructureMayThread) {
-  // runtime/ implements the worker pool; harness/sim drive it; client/'s
+  // runtime/ implements the event loops; harness/sim drive them; client/'s
   // blocking Call() API is cross-thread by contract; ledger's digest cache
   // and util's logging are deliberately concurrent.
   const std::vector<SourceFile> files = {
-      {"runtime/ordered_runner.h",
+      {"runtime/event_loop.h",
        "#include <condition_variable>\n#include <mutex>\n#include <thread>\n"},
       {"harness/threaded_cluster.h", "#include <thread>\n"},
       {"sim/network.h", "#include <atomic>\n"},

@@ -150,6 +150,72 @@ TEST(ThreadedRuntimeTest, ClockIsMonotonicAndStopIsIdempotent) {
   runtime.Stop();  // Second stop is a no-op.
 }
 
+/// Sender: fires `total` numbered CountMsgs (hop = 0, 1, ...) at `peer`
+/// from OnStart.
+class BlastNode : public Node {
+ public:
+  BlastNode(NodeId peer, int total) : peer_(peer), total_(total) {}
+  void OnStart() override {
+    for (int i = 0; i < total_; ++i) {
+      auto msg = std::make_shared<CountMsg>();
+      msg->hop = i;
+      Send(peer_, msg);
+    }
+  }
+  void OnMessage(NodeId, const MessagePtr&) override {}
+
+ private:
+  NodeId peer_;
+  int total_;
+};
+
+/// Receiver: records each sender's hop numbers in arrival order.
+class RecordingNode : public Node {
+ public:
+  void OnMessage(NodeId from, const MessagePtr& msg) override {
+    auto* count = dynamic_cast<const CountMsg*>(msg.get());
+    if (count == nullptr) return;
+    if (from >= by_sender_.size()) by_sender_.resize(size_t{from} + 1);
+    by_sender_[from].push_back(count->hop);
+    received_.fetch_add(1, std::memory_order_release);
+  }
+
+  int received() const { return received_.load(std::memory_order_acquire); }
+  // Loop-thread state; read after Stop() only.
+  std::vector<std::vector<int>> by_sender_;
+
+ private:
+  std::atomic<int> received_{0};
+};
+
+// Protocol code relies on per-sender FIFO delivery; several senders racing
+// into one mailbox must not reorder or drop any one sender's stream.
+TEST(ThreadedRuntimeTest, DeliversEachSendersStreamInFifoOrder) {
+  constexpr int kTotal = 500;
+  constexpr int kSenders = 3;
+  ThreadedRuntime runtime(1);
+  RecordingNode receiver;
+  std::vector<std::unique_ptr<BlastNode>> senders;
+  ASSERT_EQ(runtime.AddNode(&receiver), 0u);
+  for (int i = 1; i <= kSenders; ++i) {
+    senders.push_back(std::make_unique<BlastNode>(/*peer=*/0, kTotal));
+    ASSERT_EQ(runtime.AddNode(senders.back().get()), static_cast<NodeId>(i));
+  }
+  runtime.Start();
+  EXPECT_TRUE(SpinUntil(
+      [&] { return receiver.received() >= kSenders * kTotal; }, 10000));
+  runtime.Stop();
+
+  std::vector<int> expect(kTotal);
+  for (int i = 0; i < kTotal; ++i) expect[i] = i;
+  ASSERT_EQ(receiver.by_sender_.size(), size_t{kSenders} + 1);
+  EXPECT_TRUE(receiver.by_sender_[0].empty());
+  for (size_t i = 1; i <= kSenders; ++i) {
+    EXPECT_EQ(receiver.by_sender_[i], expect) << "sender " << i;
+  }
+  EXPECT_GE(runtime.messages_delivered(), uint64_t{kSenders * kTotal});
+}
+
 // ---------------------------------------------------- protocol smoke tests
 
 harness::WorkloadOptions SmokeWorkload() {

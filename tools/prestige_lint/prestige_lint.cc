@@ -627,8 +627,8 @@ void RunTimerTag(LintCtx& ctx) {
 
 /// Directories whose code must stay single-threaded: protocol state is
 /// mutated only on the owning node's loop thread (or the simulator's one
-/// thread), and CPU-parallelism is expressed through the PreVerify prologue
-/// hook, never by spawning threads or sharing synchronized state. client/
+/// thread), and no handler work runs off that thread — protocol code never
+/// spawns threads or shares synchronized state. client/
 /// is deliberately NOT here: its blocking Call() API is cross-thread by
 /// contract. runtime/, harness/, and sim/ implement the threading.
 const std::set<std::string>& SingleThreadedDirs() {
@@ -648,9 +648,8 @@ void RunThreading(LintCtx& ctx) {
       ctx.Report(f, e.line, "threading",
                  "#include <" + e.target +
                      "> in single-threaded protocol code; replica state is "
-                     "mutated only on its loop thread — off-thread CPU work "
-                     "goes through the Node::PreVerify prologue hook "
-                     "(runtime/ordered_runner.h), not ad-hoc threads or "
+                     "mutated only on its loop thread and no handler work "
+                     "runs off it, so protocol code needs no threads or "
                      "shared synchronized state");
     }
   }

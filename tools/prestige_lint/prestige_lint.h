@@ -32,10 +32,8 @@
 //   threading    — thread/synchronization system headers (<thread>, <mutex>,
 //                  <condition_variable>, <atomic>, ...) are banned in core/
 //                  and baselines/. Replica state is mutated only on its loop
-//                  thread; off-thread CPU work is expressed through the
-//                  Node::PreVerify prologue hook (runtime/ordered_runner.h,
-//                  PR 8), so protocol code never needs its own threads or
-//                  locks.
+//                  thread and there is no off-thread handler work, so
+//                  protocol code never needs its own threads or locks.
 //   sockets      — raw OS networking headers (<sys/socket.h>, <netinet/*>,
 //                  <arpa/inet.h>, <poll.h>, <sys/epoll.h>) are confined to
 //                  net/ and runtime/. Everything else reaches the network
