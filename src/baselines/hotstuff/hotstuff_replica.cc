@@ -144,9 +144,9 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
        inherited->second.Digest() != bound->second)) {
     return;
   }
-  std::vector<types::Transaction> batch;
+  types::TxList batch;
   if (inherited != pending_blocks_.end()) {
-    batch = inherited->second.txs();
+    batch = inherited->second.body();  // Shared, not copied.
   } else {
     if (pending_pool_size() == 0) return;
     if (pending_pool_size() < config_.batch_size && !allow_partial) {
@@ -155,9 +155,9 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
       }
       return;
     }
-    batch = TakeBatch(config_.batch_size);
+    batch = types::MakeTxList(TakeBatch(config_.batch_size));
   }
-  if (batch.empty()) return;
+  if (batch == nullptr || batch->empty()) return;
 
   proposal_active_ = true;
   current_block_ = ledger::TxBlock{};
@@ -187,6 +187,7 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
     auto forged = std::make_shared<HsProposalMsg>();
     forged->v = view_;
     forged->block = current_block_;
+    // A copy: current_block_'s body is the genuine proposal.
     std::vector<types::Transaction> txs = forged->block.release_txs();
     PerturbFingerprints(txs, variant);
     forged->block.set_txs(std::move(txs));

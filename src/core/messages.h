@@ -29,12 +29,16 @@ struct OrdMsg : public runtime::NetMessage {
   types::View v = 0;
   types::SeqNum n = 0;
   crypto::Sha256Digest prev_hash{};
-  std::vector<types::Transaction> txs;
+  /// The proposed body, shared with the leader's instance (and, in
+  /// process, with every follower that adopts it). Null reads as empty.
+  types::TxList txs;
   crypto::Signature sig;  ///< Leader signature over OrderingDigest.
 
   size_t WireSize() const override {
     size_t payload = 0;
-    for (const auto& tx : txs) payload += tx.WireBytes();
+    if (txs != nullptr) {
+      for (const auto& tx : *txs) payload += tx.WireBytes();
+    }
     return kHeaderBytes + payload + kSigBytes;
   }
   int NumSigVerifies() const override { return 1; }

@@ -163,7 +163,7 @@ class PrestigeReplica : public ReplicaBase {
   // ------------------------------------------------------- replication
   void OnClientBatch(runtime::NodeId from, const types::ClientBatch& batch);
   void MaybePropose(bool allow_partial = false);
-  void Propose(std::vector<types::Transaction> batch);
+  void Propose(types::TxList batch);
   /// Broadcasts an Ord to all peers; with an equivocating adversary
   /// installed, follower groups receive conflicting signed variants.
   void BroadcastOrd(const std::shared_ptr<OrdMsg>& ord);

@@ -39,7 +39,7 @@ void PrestigeReplica::MaybePropose(bool allow_partial) {
     std::vector<types::Transaction> batch =
         TakeBatch(config_.batch_size, &inflight_tx_keys_);
     if (batch.empty()) break;
-    Propose(std::move(batch));
+    Propose(types::MakeTxList(std::move(batch)));
     allow_partial = false;  // At most one partial block per trigger.
     partial_due_ = false;   // The overdue front of the pool was proposed.
   }
@@ -50,16 +50,16 @@ void PrestigeReplica::MaybePropose(bool allow_partial) {
   }
 }
 
-void PrestigeReplica::Propose(std::vector<types::Transaction> batch) {
-  for (const types::Transaction& tx : batch) {
-    inflight_tx_keys_.insert(IdOf(tx));
-  }
+void PrestigeReplica::Propose(types::TxList batch) {
   Instance instance;
   instance.last_broadcast_at = Now();
   instance.block.v = view_;
   instance.block.set_n(next_seq_++);
   instance.block.set_prev_hash(last_proposed_digest_);
   instance.block.set_txs(std::move(batch));
+  for (const types::Transaction& tx : instance.block.txs()) {
+    inflight_tx_keys_.insert(IdOf(tx));
+  }
   instance.block.status.assign(instance.block.BatchSize(), 1);
 
   const crypto::Sha256Digest digest = instance.block.Digest();
@@ -74,7 +74,7 @@ void PrestigeReplica::Propose(std::vector<types::Transaction> batch) {
   ord->v = view_;
   ord->n = instance.block.n();
   ord->prev_hash = instance.block.prev_hash();
-  ord->txs = instance.block.txs();
+  ord->txs = instance.block.body();  // Shared, not copied.
   ord->sig = SignMaybeCorrupt(ord_digest);
 
   instances_.emplace(instance.block.n(), std::move(instance));
@@ -87,7 +87,10 @@ void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
     block.v = ord->v;
     block.set_n(ord->n);
     block.set_prev_hash(ord->prev_hash);
-    std::vector<types::Transaction> txs = ord->txs;
+    block.set_txs(ord->txs);
+    // The variant is a copy: the genuine body stays as the leader's
+    // instance and the honest followers hold it.
+    std::vector<types::Transaction> txs = block.release_txs();
     PerturbFingerprints(txs, variant);
     block.set_txs(std::move(txs));
     block.status.assign(block.BatchSize(), 1);
@@ -95,7 +98,7 @@ void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
     forged->v = ord->v;
     forged->n = ord->n;
     forged->prev_hash = ord->prev_hash;
-    forged->txs = block.txs();
+    forged->txs = block.body();
     forged->sig = SignMaybeCorrupt(
         ledger::OrderingDigest(ord->v, ord->n, block.Digest()));
     return forged;
@@ -119,7 +122,7 @@ void PrestigeReplica::OnOrd(runtime::NodeId from, const OrdMsg& ord) {
   block.v = ord.v;
   block.set_n(ord.n);
   block.set_prev_hash(ord.prev_hash);
-  block.set_txs(ord.txs);
+  block.set_txs(ord.txs);  // Adopt the proposal's body (null = empty).
   block.status.assign(block.BatchSize(), 1);
   const crypto::Sha256Digest digest = block.Digest();
   const crypto::Sha256Digest ord_digest =
@@ -289,7 +292,7 @@ void PrestigeReplica::OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply)
     ready_blocks_.erase(ready);
 
     auto msg = std::make_shared<TxBlockMsg>();
-    msg->block = block;
+    msg->block = block;  // Shares the committed body.
     GuardedSend(PeerActors(), msg);
     CommitBlock(std::move(block));
   }
@@ -444,7 +447,7 @@ void PrestigeReplica::StartLeading() {
       for (const types::Transaction& tx : body.txs()) EnqueueTx(tx);
       continue;
     }
-    Propose(body.release_txs());
+    Propose(body.body());
   }
 
   MaybePropose(/*allow_partial=*/true);
@@ -495,7 +498,7 @@ void PrestigeReplica::RetransmitStalledInstances() {
       ord->v = instance.block.v;
       ord->n = n;
       ord->prev_hash = instance.block.prev_hash();
-      ord->txs = instance.block.txs();
+      ord->txs = instance.block.body();
       ord->sig = SignMaybeCorrupt(
           ledger::OrderingDigest(instance.block.v, n, digest));
       BroadcastOrd(ord);  // Equivocators keep their per-group stories.

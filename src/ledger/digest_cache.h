@@ -35,9 +35,12 @@ class DigestCache {
 
   /// Copies preserve a published value; a copy raced against an in-flight
   /// fill (impossible under the Env contract, but harmless) just starts
-  /// invalid and recomputes.
-  DigestCache(const DigestCache& other) { CopyFrom(other); }
-  DigestCache& operator=(const DigestCache& other) {
+  /// invalid and recomputes. Both are noexcept (an atomic and 32 bytes):
+  /// a block type's implicit move then stays nothrow, so a growing
+  /// std::vector of blocks relocates by move instead of deep-copying
+  /// every block.
+  DigestCache(const DigestCache& other) noexcept { CopyFrom(other); }
+  DigestCache& operator=(const DigestCache& other) noexcept {
     if (this != &other) {
       CopyFrom(other);
     }
@@ -71,7 +74,7 @@ class DigestCache {
  private:
   enum : int { kEmpty = 0, kFilling = 1, kValid = 2 };
 
-  void CopyFrom(const DigestCache& other) {
+  void CopyFrom(const DigestCache& other) noexcept {
     if (other.state_.load(std::memory_order_acquire) == kValid) {
       digest_ = other.digest_;
       state_.store(kValid, std::memory_order_release);

@@ -9,6 +9,7 @@
 #ifndef PRESTIGE_LEDGER_TX_BLOCK_H_
 #define PRESTIGE_LEDGER_TX_BLOCK_H_
 
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,8 @@ namespace ledger {
 /// The identity fields (n, prev_hash, txs) are private behind mutators so
 /// the memoized Digest() can never go stale: every write invalidates the
 /// cache. Fields the digest does not cover (v, status, QCs) stay public.
+/// The transactions live in a shared immutable types::TxList, so copying
+/// or moving a block never copies its body.
 class TxBlock {
  public:
   types::View v = 0;
@@ -47,15 +50,27 @@ class TxBlock {
     cache_.Invalidate();
   }
 
-  const std::vector<types::Transaction>& txs() const { return txs_; }
-  void set_txs(std::vector<types::Transaction> txs) {
-    txs_ = std::move(txs);
+  /// The transactions; an empty list when the block has no body.
+  const std::vector<types::Transaction>& txs() const {
+    return body_ != nullptr ? *body_ : kNoTxs;
+  }
+  /// The shared, immutable body (null reads as empty). Copying a block
+  /// shares its body; nothing writes through it.
+  const types::TxList& body() const { return body_; }
+  /// Adopts `body` as-is: the block shares it with every other holder.
+  void set_txs(types::TxList body) {
+    body_ = std::move(body);
     cache_.Invalidate();
   }
-  /// Moves the batch out (for re-proposal); the block is left empty.
+  void set_txs(std::vector<types::Transaction> txs) {
+    set_txs(types::MakeTxList(std::move(txs)));
+  }
+  /// Copies the batch out for a writer (the shared body stays as other
+  /// holders see it); the block is left empty.
   std::vector<types::Transaction> release_txs() {
-    cache_.Invalidate();
-    return std::move(txs_);
+    std::vector<types::Transaction> txs = this->txs();
+    set_txs(types::TxList{});
+    return txs;
   }
 
   /// Digest of the block body, i.e. the block's address. Memoized; valid
@@ -69,20 +84,26 @@ class TxBlock {
   const crypto::Sha256Digest& Digest() const {
     return cache_.Get([this] {
       types::HashingEncoder enc("txblock");
-      enc.PutI64(n_).PutDigest(prev_hash_).PutDigest(types::BatchDigest(txs_));
+      enc.PutI64(n_).PutDigest(prev_hash_).PutDigest(types::BatchDigest(txs()));
       return enc.Digest();
     });
   }
 
   /// Number of transactions (the batch size beta of this block).
-  size_t BatchSize() const { return txs_.size(); }
+  size_t BatchSize() const { return txs().size(); }
 
  private:
   types::SeqNum n_ = 0;
   crypto::Sha256Digest prev_hash_{};  ///< Address of the previous txBlock.
-  std::vector<types::Transaction> txs_;
+  types::TxList body_;
   DigestCache cache_;
+
+  static inline const std::vector<types::Transaction> kNoTxs;
 };
+
+// A std::vector<TxBlock> (the chain) relocates by move only when this
+// holds; otherwise every capacity doubling deep-copies every block.
+static_assert(std::is_nothrow_move_constructible_v<TxBlock>);
 
 /// Digest signed in the ordering phase for block (v, n, body).
 crypto::Sha256Digest OrderingDigest(types::View v, types::SeqNum n,

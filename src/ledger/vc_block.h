@@ -12,6 +12,7 @@
 #define PRESTIGE_LEDGER_VC_BLOCK_H_
 
 #include <map>
+#include <type_traits>
 
 #include "crypto/quorum_cert.h"
 #include "crypto/sha256.h"
@@ -112,6 +113,9 @@ class VcBlock {
   std::map<types::ReplicaId, types::CompensationIndex> ci_;
   DigestCache cache_;
 };
+
+// The vcBlock chain grows by push_back too; keep its relocation a move.
+static_assert(std::is_nothrow_move_constructible_v<VcBlock>);
 
 /// Digest signed by ReVC replies confirming the failure of view v's leader.
 crypto::Sha256Digest ConfDigest(types::View v);

@@ -39,6 +39,8 @@ using baselines::sbft::SbShareMsg;
 //   std::vector<T>                         u32 count <= Elem<T>::kMaxCount
 //                                          (each element at least
 //                                          Elem<T>::kMinBytes), then each T;
+//   types::TxList                          as its std::vector (null as
+//                                          empty); decodes to a fresh list;
 //   any other T                            the fields of Wire<T>.
 // Enums and range-checked integers name their bound in the list itself
 // (UpTo, InRange). TxBlock and VcBlock keep their identity fields behind
@@ -115,6 +117,13 @@ class FieldWriter {
     w_.PutU32(static_cast<uint32_t>(items.size()));
     for (const T& item : items) Field(item);
   }
+  void Field(const types::TxList& txs) {  // Null encodes as empty.
+    if (txs != nullptr) {
+      Field(*txs);
+    } else {
+      w_.PutU32(0);
+    }
+  }
   void Field(const IdMap& entries) {
     w_.PutU32(static_cast<uint32_t>(entries.size()));
     for (const auto& [id, value] : entries) (*this)(id, value);
@@ -182,6 +191,11 @@ class FieldReader {
       items.emplace_back();
       Field(items.back());
     }
+  }
+  void Field(types::TxList& txs) {  // Built once, then shared read-only.
+    std::vector<types::Transaction> items;
+    Field(items);
+    txs = types::MakeTxList(std::move(items));
   }
   void Field(IdMap& entries) {
     const uint64_t count = r_.Count(kMaxWireMapEntries, 12);

@@ -11,6 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "types/codec.h"
@@ -61,6 +64,20 @@ struct Transaction {
     return std::max<size_t>(payload_size, command.size()) + 72;
   }
 };
+
+// Batches, pools and chains hold transactions in growing vectors; a
+// throwing move would make every relocation deep-copy the commands.
+static_assert(std::is_nothrow_move_constructible_v<Transaction>);
+
+/// A block body: one immutable transaction list shared by every holder of
+/// the block (proposal, pending block, commit message, chain). Nothing
+/// writes through it; a writer copies the list out and wraps its own. A
+/// null list reads as an empty body.
+using TxList = std::shared_ptr<const std::vector<Transaction>>;
+
+inline TxList MakeTxList(std::vector<Transaction> txs) {
+  return std::make_shared<const std::vector<Transaction>>(std::move(txs));
+}
 
 /// Digest covering an ordered list of transactions (a batch body).
 crypto::Sha256Digest BatchDigest(const std::vector<Transaction>& txs);

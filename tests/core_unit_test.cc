@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "app/kv_service.h"
 #include "core/replica.h"
 #include "crypto/sha256.h"
 #include "net/wire.h"
@@ -87,13 +88,15 @@ class ReplicaUnitTest : public ::testing::Test {
     ord->v = 1;
     ord->n = n;
     ord->prev_hash = replica_->store().LatestTxDigest();
+    std::vector<types::Transaction> txs;
     for (size_t i = 0; i < num_txs; ++i) {
       types::Transaction tx;
       tx.pool = 0;
       tx.client_seq = 100 * (i + 1) + static_cast<uint64_t>(n);
       tx.fingerprint = 7 + salt;
-      ord->txs.push_back(tx);
+      txs.push_back(tx);
     }
+    ord->txs = types::MakeTxList(std::move(txs));
 
     ledger::TxBlock block;
     block.v = ord->v;
@@ -312,6 +315,29 @@ TEST_F(ReplicaUnitTest, FollowerAdoptsPendingBodyWithoutRehashing) {
   EXPECT_LT(hashes, kBatch);
 }
 
+// In process the follower holds the leader's proposed body itself: it
+// adopts the Ord's list as its pending body and commits that list.
+TEST_F(ReplicaUnitTest, FollowerCommitsTheBodyTheLeaderProposed) {
+  auto ord = MakeOrd(1, /*salt=*/0, /*num_txs=*/8);
+  Deliver(0, ord);
+  Deliver(0, CertifiedTxBlock(*ord));
+  ASSERT_EQ(replica_->store().LatestTxSeq(), 1);
+  EXPECT_EQ(replica_->store().LatestTxBlock()->body().get(), ord->txs.get());
+}
+
+// A null body is an empty batch: the follower validates and signs it as
+// one, with the empty batch's digest.
+TEST_F(ReplicaUnitTest, OrdWithNullBodyIsAnEmptyBlock) {
+  auto ord = MakeOrd(1, /*salt=*/0, /*num_txs=*/0);
+  ord->txs = nullptr;
+  Deliver(0, ord);
+  const auto* reply = probes_[0].Last<OrdReplyMsg>();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->n, 1);
+  EXPECT_EQ(replica_->pending_block_count(), 1u);
+  EXPECT_EQ(replica_->metrics().invalid_messages, 0);
+}
+
 TEST_F(ReplicaUnitTest, CertifiedBodyDifferingFromPendingIsCommitted) {
   Deliver(0, MakeOrd(1, /*salt=*/0));
   ASSERT_EQ(replica_->pending_block_count(), 1u);
@@ -489,6 +515,36 @@ class LeaderUnitTest : public ::testing::Test {
     sim_.RunUntil(1);
   }
 
+  /// Ordering, then commit replies from replicas 2 and 3 for `ord`'s
+  /// body: with the leader's own signatures, a quorum at both phases.
+  void CompleteInstance(const OrdMsg& ord) {
+    ledger::TxBlock block;
+    block.set_n(ord.n);
+    block.set_prev_hash(ord.prev_hash);
+    block.set_txs(ord.txs);
+    const crypto::Sha256Digest digest = block.Digest();
+    const crypto::Sha256Digest ord_digest =
+        ledger::OrderingDigest(ord.v, ord.n, digest);
+    for (uint32_t r : {2u, 3u}) {
+      auto reply = std::make_shared<OrdReplyMsg>();
+      reply->v = ord.v;
+      reply->n = ord.n;
+      reply->partial = crypto::Signer(&keys_, r).Sign(ord_digest);
+      net_.Send(r, 0, reply);
+    }
+    sim_.RunUntil(sim_.Now() + Millis(2));
+    const crypto::Sha256Digest cmt_digest =
+        ledger::CommitDigest(ord.v, ord.n, digest);
+    for (uint32_t r : {2u, 3u}) {
+      auto reply = std::make_shared<CmtReplyMsg>();
+      reply->v = ord.v;
+      reply->n = ord.n;
+      reply->partial = crypto::Signer(&keys_, r).Sign(cmt_digest);
+      net_.Send(r, 0, reply);
+    }
+    sim_.RunUntil(sim_.Now() + Millis(2));
+  }
+
   sim::Simulator sim_;
   sim::Network net_;
   crypto::KeyStore keys_;
@@ -563,8 +619,74 @@ TEST_F(LeaderUnitTest, PartialBatchSurvivesFullPipeline) {
   // ~42 ms, after this deadline.
   sim_.RunUntil(Millis(38));
   ASSERT_EQ(probes_[1].Count<OrdMsg>(), 2);
-  EXPECT_EQ(probes_[1].Last<OrdMsg>()->txs.size(), 3u);
+  EXPECT_EQ(probes_[1].Last<OrdMsg>()->txs->size(), 3u);
   EXPECT_EQ(leader_->pending_pool_size(), 0u);
+}
+
+/// Proposes each follower's body variant `dest % 2`: replica 2 gets the
+/// genuine body, replicas 1 and 3 a conflicting signed one.
+class EquivocatingAdversary : public types::AdversaryPolicy {
+ public:
+  uint32_t ProposalVariant(uint32_t, uint32_t dest,
+                           util::TimeMicros) const override {
+    return dest % 2;
+  }
+};
+
+/// One full batch of `LeaderUnitTest`'s size (10) from client pool 0.
+std::shared_ptr<types::ClientBatch> FullBatch() {
+  auto batch = std::make_shared<types::ClientBatch>();
+  for (uint64_t i = 0; i < 10; ++i) {
+    types::Transaction tx;
+    tx.pool = 0;
+    tx.client_seq = i + 1;
+    tx.fingerprint = 0x2000 + i;
+    batch->txs.push_back(tx);
+  }
+  return batch;
+}
+
+// The leader builds a body once: its Ord, its TxBlockMsg and its own
+// chain all hold the one list.
+TEST_F(LeaderUnitTest, ProposalCommitMessageAndChainShareOneBody) {
+  sim_.ScheduleAt(Millis(1), [&] { net_.Send(4, 0, FullBatch()); });
+  sim_.RunUntil(Millis(5));
+  const OrdMsg* ord = probes_[1].Last<OrdMsg>();
+  ASSERT_NE(ord, nullptr);
+  ASSERT_NE(ord->txs, nullptr);
+  EXPECT_EQ(probes_[2].Last<OrdMsg>(), ord);  // One message to all peers.
+
+  CompleteInstance(*ord);
+  ASSERT_EQ(leader_->store().LatestTxSeq(), 1);
+  const TxBlockMsg* txb = probes_[1].Last<TxBlockMsg>();
+  ASSERT_NE(txb, nullptr);
+  EXPECT_EQ(txb->block.body().get(), ord->txs.get());
+  EXPECT_EQ(leader_->store().LatestTxBlock()->body().get(), ord->txs.get());
+}
+
+// Equivocation variants are copies: the genuine body the leader signed,
+// commits and sends to the honest group stays byte-identical to the
+// clients' requests.
+TEST_F(LeaderUnitTest, EquivocationVariantsLeaveTheGenuineBodyIntact) {
+  static const EquivocatingAdversary adversary;  // Outlives the fixture.
+  leader_->SetAdversary(&adversary);
+  const auto batch = FullBatch();
+  sim_.ScheduleAt(Millis(1), [&] { net_.Send(4, 0, batch); });
+  sim_.RunUntil(Millis(5));
+  const OrdMsg* genuine = probes_[2].Last<OrdMsg>();
+  const OrdMsg* forged = probes_[1].Last<OrdMsg>();
+  ASSERT_NE(genuine, nullptr);
+  ASSERT_NE(forged, nullptr);
+  ASSERT_NE(forged->txs.get(), genuine->txs.get());
+  EXPECT_NE(*forged->txs, *genuine->txs);
+  EXPECT_EQ(probes_[3].Last<OrdMsg>(), forged);  // Same variant group.
+  EXPECT_EQ(*genuine->txs, batch->txs);
+
+  CompleteInstance(*genuine);
+  ASSERT_EQ(leader_->store().LatestTxSeq(), 1);
+  EXPECT_EQ(leader_->store().LatestTxBlock()->body().get(),
+            genuine->txs.get());
+  EXPECT_EQ(*genuine->txs, batch->txs);
 }
 
 // ------------------------------------------- complaint / probe lifecycle
@@ -746,6 +868,26 @@ class TamperingAdversary : public types::AdversaryPolicy {
     return true;
   }
 };
+
+// Forged execution runs on a copy: the replica's state diverges, but the
+// body it shares with the leader and stores in its chain is unchanged.
+TEST_F(ReplicaUnitTest, TamperedExecutionLeavesTheSharedBodyIntact) {
+  static const TamperingAdversary adversary;  // Outlives the fixture.
+  replica_->SetAdversary(&adversary);
+  replica_->SetService(std::make_unique<app::KvService>());
+  auto ord = MakeOrd(1, /*salt=*/0, /*num_txs=*/4);
+  const std::vector<types::Transaction> proposed = *ord->txs;
+  Deliver(0, ord);
+  Deliver(0, CertifiedTxBlock(*ord));
+  ASSERT_EQ(replica_->store().LatestTxSeq(), 1);
+  ASSERT_EQ(replica_->delivery().stats().executed, 4);
+
+  EXPECT_EQ(*ord->txs, proposed);
+  EXPECT_EQ(replica_->store().LatestTxBlock()->body().get(), ord->txs.get());
+  app::KvService honest;
+  for (const types::Transaction& tx : proposed) honest.Execute(tx);
+  EXPECT_NE(replica_->service().StateDigest(), honest.StateDigest());
+}
 
 TEST_F(ComplaintLifecycleTest, RequestCommittedUnderTamperingIsNotReadmitted) {
   static const TamperingAdversary adversary;  // Outlives the fixture.

@@ -65,6 +65,30 @@ TEST(TxBlockTest, DigestCoversContent) {
   EXPECT_NE(a.Digest(), b.Digest());
 }
 
+TEST(TxBlockTest, CopiesShareTheBodyAndWritersCopyItOut) {
+  const TxBlock a = MakeTxBlock(1, 1, {});
+  TxBlock b = a;
+  EXPECT_EQ(b.body().get(), a.body().get());
+  const std::vector<types::Transaction> original = a.txs();
+  std::vector<types::Transaction> txs = b.release_txs();
+  EXPECT_EQ(b.body(), nullptr);
+  EXPECT_EQ(b.BatchSize(), 0u);
+  txs[0].fingerprint ^= 1;
+  b.set_txs(std::move(txs));
+  EXPECT_NE(b.body().get(), a.body().get());
+  EXPECT_EQ(a.txs(), original);  // The shared body was not written.
+}
+
+TEST(TxBlockTest, NullBodyReadsAsEmpty) {
+  TxBlock null_body;
+  TxBlock empty_body;
+  empty_body.set_txs(std::vector<types::Transaction>{});
+  EXPECT_EQ(null_body.body(), nullptr);
+  EXPECT_TRUE(null_body.txs().empty());
+  EXPECT_EQ(null_body.BatchSize(), 0u);
+  EXPECT_EQ(null_body.Digest(), empty_body.Digest());
+}
+
 TEST(TxBlockTest, DigestIgnoresQcs) {
   // QCs certify the block; they are not part of its address.
   TxBlock a = MakeTxBlock(1, 1, {});
@@ -112,6 +136,27 @@ TEST(BlockStoreTest, AppendsChainedTxBlocks) {
       store.AppendTxBlock(MakeTxBlock(2, 1, store.LatestTxDigest())).ok());
   EXPECT_EQ(store.LatestTxSeq(), 2);
   EXPECT_EQ(store.TotalCommittedTxs(), 6);
+}
+
+// 1,100 appends cross eleven capacity doublings of the chain vector. Each
+// relocation moves the blocks: every stored block still holds the very
+// body it was built with, and the chain is that body's only holder.
+TEST(BlockStoreTest, ChainGrowthKeepsEveryBody) {
+  constexpr types::SeqNum kBlocks = 1100;
+  BlockStore store;
+  std::vector<const std::vector<types::Transaction>*> bodies;
+  for (types::SeqNum n = 1; n <= kBlocks; ++n) {
+    TxBlock block = MakeTxBlock(n, 1, store.LatestTxDigest(), 2);
+    bodies.push_back(block.body().get());
+    ASSERT_TRUE(store.AppendTxBlock(std::move(block)).ok());
+  }
+  ASSERT_EQ(store.tx_chain_size(), static_cast<size_t>(kBlocks));
+  for (types::SeqNum n = 1; n <= kBlocks; ++n) {
+    const TxBlock& block = *store.TxBlockAt(n);
+    ASSERT_EQ(block.body().get(), bodies[static_cast<size_t>(n - 1)])
+        << "n=" << n;
+    ASSERT_EQ(block.body().use_count(), 1) << "n=" << n;
+  }
 }
 
 TEST(BlockStoreTest, RejectsSequenceGap) {

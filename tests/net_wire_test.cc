@@ -108,7 +108,7 @@ std::vector<runtime::MessagePtr> SampleMessages() {
   ord->v = 3;
   ord->n = 17;
   ord->prev_hash = crypto::Sha256Digest{};
-  ord->txs = {SampleTx(0, 1), SampleTx(2, 9)};
+  ord->txs = types::MakeTxList({SampleTx(0, 1), SampleTx(2, 9)});
   ord->sig = SampleSig(1);
   out.push_back(ord);
 
@@ -380,6 +380,26 @@ TEST(WireCodecTest, EncodingIsPinned) {
               pins[i].sha256);
   }
   EXPECT_EQ(kinds.size(), 29u) << "every MsgKind has a sample";
+}
+
+// An Ord whose body handle is null is an empty batch: the same bytes and
+// modelled size as an empty list, and it decodes to an empty list.
+TEST(WireCodecTest, NullOrdBodyEncodesAsEmptyBatch) {
+  core::OrdMsg null_body;
+  null_body.v = 3;
+  null_body.n = 17;
+  null_body.sig = SampleSig(1);
+  core::OrdMsg empty_body = null_body;
+  empty_body.txs = types::MakeTxList({});
+  ASSERT_EQ(null_body.txs, nullptr);
+  EXPECT_EQ(null_body.WireSize(), empty_body.WireSize());
+  const std::vector<uint8_t> bytes = Encode(null_body);
+  EXPECT_EQ(bytes, Encode(empty_body));
+  const runtime::MessagePtr decoded = DecodeMessage(bytes.data(), bytes.size());
+  const auto* ord = dynamic_cast<const core::OrdMsg*>(decoded.get());
+  ASSERT_NE(ord, nullptr);
+  ASSERT_NE(ord->txs, nullptr);
+  EXPECT_TRUE(ord->txs->empty());
 }
 
 // ------------------------------------------------------------- adversarial
