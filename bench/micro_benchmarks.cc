@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): crypto substrate, reputation engine,
 // proof-of-work, simulator hot paths, commit delivery, and the socket
-// backend's per-message stages (wire encode, framing, reassembly). Not a
-// paper figure — these bound the constants the cost model abstracts.
+// backend's per-message stages (wire encode and decode, framing,
+// reassembly). Not a paper figure — these bound the constants the cost
+// model abstracts.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include "reputation/reputation_engine.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "types/client_messages.h"
 #include "types/transaction.h"
 #include "util/random.h"
 
@@ -296,9 +298,9 @@ void BM_ReplyLookup(benchmark::State& state) {
 BENCHMARK(BM_ReplyLookup)->ArgName("miss")->Arg(0)->Arg(1);
 
 // The socket backend's per-message stages on the leader's Ord of one
-// 500-Put batch (about 28.6 KB on the wire): wire encode, framing (fragment
-// headers + CRC32C), and the receiver's validation and reassembly
-// (CRC32C again). Bytes processed are the encoded message's.
+// 500-Put batch (about 28.6 KB on the wire): wire encode and decode,
+// framing (fragment headers + CRC32C), and the receiver's validation and
+// reassembly (CRC32C again). Bytes processed are the encoded message's.
 core::OrdMsg SeededOrd() {
   core::OrdMsg ord;
   ord.v = 3;
@@ -322,11 +324,68 @@ void BM_EncodeOrd(benchmark::State& state) {
   for (auto _ : state) {
     bytes.clear();
     benchmark::DoNotOptimize(net::EncodeMessage(ord, &bytes));
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_EncodeOrd);
+
+void BM_DecodeOrd(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = EncodedOrd();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::DecodeMessage(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_DecodeOrd);
+
+// One replica's ClientReply for a 500-Put block (each entry carries the
+// Put's 8-byte previous value); a replica sends one per block to every
+// client pool the block serves.
+types::ClientReply SeededReply() {
+  types::ClientReply reply;
+  reply.replica = 2;
+  reply.v = 3;
+  reply.n = 77;
+  reply.pool = 1;
+  util::Rng rng(13);
+  reply.entries.resize(500);
+  for (size_t i = 0; i < reply.entries.size(); ++i) {
+    types::ReplyEntry& e = reply.entries[i];
+    e.client_seq = i + 1;
+    e.result = app::kv::EncodeValue(rng.NextUint64());
+    e.result_digest = app::ResultDigest(app::ExecStatus::kOk, e.result);
+  }
+  return reply;
+}
+
+void BM_EncodeClientReply(benchmark::State& state) {
+  const types::ClientReply reply = SeededReply();
+  std::vector<uint8_t> bytes;
+  for (auto _ : state) {
+    bytes.clear();
+    benchmark::DoNotOptimize(net::EncodeMessage(reply, &bytes));
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_EncodeClientReply);
+
+void BM_DecodeClientReply(benchmark::State& state) {
+  std::vector<uint8_t> bytes;
+  net::EncodeMessage(SeededReply(), &bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::DecodeMessage(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_DecodeClientReply);
 
 void BM_FrameSplit(benchmark::State& state) {
   const std::vector<uint8_t> bytes = EncodedOrd();

@@ -1,6 +1,7 @@
 #include "net/frame.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "net/wire.h"
@@ -17,24 +18,22 @@ namespace {
 constexpr size_t kDstOffset = 10;
 constexpr size_t kSeqOffset = 14;
 
-void PutLe(uint8_t* out, size_t offset, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out[offset + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-/// Every header field except dst and seq, which AddressTo writes.
+/// Every header field; dst and seq as `h` holds them, for AddressTo to
+/// rewrite per copy.
 void PutHeader(const FrameHeader& h, uint8_t* out) {
-  PutLe(out, 0, kFrameMagic, 4);
-  out[4] = kFrameVersion;
-  out[5] = 0;  // flags, reserved
-  PutLe(out, 6, h.src, 4);
-  PutLe(out, 22, h.frame_id, 4);
-  PutLe(out, 26, h.frag_index, 2);
-  PutLe(out, 28, h.frag_count, 2);
-  PutLe(out, 30, h.payload_len, 4);
-  PutLe(out, 34, h.total_len, 4);
-  PutLe(out, 38, h.checksum, 4);
+  Writer w(out, out + kFrameHeaderBytes);
+  w.PutU32(kFrameMagic);
+  w.PutU8(kFrameVersion);
+  w.PutU8(0);  // flags, reserved
+  w.PutU32(h.src);
+  w.PutU32(h.dst);
+  w.PutU64(h.seq);
+  w.PutU32(h.frame_id);
+  w.PutU16(h.frag_index);
+  w.PutU16(h.frag_count);
+  w.PutU32(h.payload_len);
+  w.PutU32(h.total_len);
+  w.PutU32(h.checksum);
 }
 
 }  // namespace
@@ -77,30 +76,55 @@ void FrameCounters::MergeFrom(const FrameCounters& other) {
 
 // -------------------------------------------------------------- FrameWriter
 
-FrameWriter::Frames FrameWriter::Frame(const std::vector<uint8_t>& payload) {
-  Frames frames;
-  if (payload.empty() || payload.size() > kMaxMessageBytes) return frames;
-
-  const size_t frag_count =
-      (payload.size() + kMaxFragPayload - 1) / kMaxFragPayload;
-  frames.resize(frag_count);
+FrameHeader FrameWriter::SharedHeader(size_t total_len, size_t frag_count) {
   FrameHeader h;
   h.src = src_;
   h.frame_id = next_frame_id_++;
   h.frag_count = static_cast<uint16_t>(frag_count);
-  h.total_len = static_cast<uint32_t>(payload.size());
+  h.total_len = static_cast<uint32_t>(total_len);
+  return h;
+}
+
+FrameWriter::Frames FrameWriter::FrameCopy(const uint8_t* payload,
+                                           size_t len) {
+  Frames frames;
+  if (len == 0 || len > kMaxMessageBytes) return frames;
+
+  const size_t frag_count = (len + kMaxFragPayload - 1) / kMaxFragPayload;
+  frames.resize(frag_count);
+  FrameHeader h = SharedHeader(len, frag_count);
   for (size_t i = 0; i < frag_count; ++i) {
     const size_t offset = i * kMaxFragPayload;
-    const size_t len = std::min(kMaxFragPayload, payload.size() - offset);
-    const uint8_t* fragment = payload.data() + offset;
+    const size_t frag_len = std::min(kMaxFragPayload, len - offset);
+    const uint8_t* fragment = payload + offset;
     h.frag_index = static_cast<uint16_t>(i);
-    h.payload_len = static_cast<uint32_t>(len);
-    h.checksum = Crc32c(fragment, len);
+    h.payload_len = static_cast<uint32_t>(frag_len);
+    h.checksum = Crc32c(fragment, frag_len);
     std::vector<uint8_t>& datagram = frames[i];
-    datagram.resize(kFrameHeaderBytes + len);
+    datagram.resize(kFrameHeaderBytes + frag_len);
     PutHeader(h, datagram.data());
-    std::memcpy(datagram.data() + kFrameHeaderBytes, fragment, len);
+    std::memcpy(datagram.data() + kFrameHeaderBytes, fragment, frag_len);
   }
+  return frames;
+}
+
+FrameWriter::Frames FrameWriter::Frame(const std::vector<uint8_t>& payload) {
+  return FrameCopy(payload.data(), payload.size());
+}
+
+FrameWriter::Frames FrameWriter::FrameInPlace(std::vector<uint8_t> buffer) {
+  assert(buffer.size() >= kFrameHeaderBytes && "no room for the header");
+  if (buffer.size() <= kFrameHeaderBytes) return {};
+  const uint8_t* payload = buffer.data() + kFrameHeaderBytes;
+  const size_t len = buffer.size() - kFrameHeaderBytes;
+  if (len > kMaxFragPayload) return FrameCopy(payload, len);
+
+  FrameHeader h = SharedHeader(len, 1);
+  h.payload_len = static_cast<uint32_t>(len);
+  h.checksum = Crc32c(payload, len);
+  PutHeader(h, buffer.data());
+  Frames frames;
+  frames.push_back(std::move(buffer));
   return frames;
 }
 
@@ -108,8 +132,9 @@ void FrameWriter::AddressTo(uint32_t dst, Frames* frames) {
   if (frames->empty()) return;
   uint64_t& seq = next_seq_[dst];
   for (std::vector<uint8_t>& datagram : *frames) {
-    PutLe(datagram.data(), kDstOffset, dst, 4);
-    PutLe(datagram.data(), kSeqOffset, ++seq, 8);
+    Writer w(datagram.data() + kDstOffset, datagram.data() + kSeqOffset + 8);
+    w.PutU32(dst);
+    w.PutU64(++seq);
   }
 }
 
@@ -195,12 +220,14 @@ void FrameAssembler::Accept(const uint8_t* data, size_t len,
     return;
   }
 
-  // Single-fragment fast path: no reassembly state.
+  // Single-fragment fast path: no reassembly state, and no copy — the
+  // message is a view into `data`.
   if (h.frag_count == 1) {
     ++counters_.messages_assembled;
     Complete c;
     c.src = h.src;
-    c.payload.assign(payload, payload + payload_len);
+    c.view = payload;
+    c.view_len = payload_len;
     out->push_back(std::move(c));
     return;
   }

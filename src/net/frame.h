@@ -16,6 +16,13 @@
 // sends. The checksum covers the payload alone, so re-addressing a frame
 // never invalidates it.
 //
+// Neither direction copies a one-datagram message: the sender encodes
+// behind kFrameHeaderBytes of room and FrameWriter::FrameInPlace writes the
+// header into that room, and FrameAssembler::Accept hands such a message
+// back as a view into the received datagram. Only a message split over
+// several datagrams is copied, into its fragments and back into one
+// reassembled buffer.
+//
 // The decode path is hostile-input safe: short datagrams, bad magic,
 // version/dst mismatches, length lies, checksum failures, and reassembly
 // floods all turn into counted drops (FrameCounters), never crashes or
@@ -106,6 +113,12 @@ class FrameWriter {
   /// send_errors.
   Frames Frame(const std::vector<uint8_t>& payload);
 
+  /// Frame for a payload that starts kFrameHeaderBytes into `buffer` (the
+  /// front bytes are room for a header). A payload that fits one datagram
+  /// is framed in place: `buffer` itself becomes the datagram, with no
+  /// byte copied. A longer one is split exactly as Frame splits it.
+  Frames FrameInPlace(std::vector<uint8_t> buffer);
+
   /// Readies `frames` (from Frame) for one destination: writes `dst` and
   /// the next per-(src, dst) sequence numbers into their headers.
   void AddressTo(uint32_t dst, Frames* frames);
@@ -114,6 +127,12 @@ class FrameWriter {
   Frames Split(uint32_t dst, const std::vector<uint8_t>& payload);
 
  private:
+  /// Frame's work on raw bytes: each fragment gets a datagram of its own
+  /// and its payload copied in.
+  Frames FrameCopy(const uint8_t* payload, size_t len);
+  /// The header fields every fragment shares, under a fresh frame_id.
+  FrameHeader SharedHeader(size_t total_len, size_t frag_count);
+
   uint32_t src_;
   uint32_t next_frame_id_ = 1;
   std::map<uint32_t, uint64_t> next_seq_;  ///< Per destination, from 1.
@@ -126,10 +145,21 @@ class FrameAssembler {
   /// anyone else are counted and dropped.
   explicit FrameAssembler(uint32_t local_id) : local_id_(local_id) {}
 
-  /// A fully reassembled message payload and its claimed sender.
+  /// A complete message payload and its claimed sender. A message that
+  /// came in one datagram is a view into that datagram: the bytes passed
+  /// to Accept, so it is valid only while they are (in SocketRuntime, until
+  /// the next receive, which precedes the next Accept). A message
+  /// reassembled from several datagrams owns its bytes in `payload`.
   struct Complete {
     uint32_t src = 0;
-    std::vector<uint8_t> payload;
+    std::vector<uint8_t> payload;  ///< Reassembled bytes; empty for a view.
+    const uint8_t* view = nullptr;  ///< Single-datagram payload, or null.
+    size_t view_len = 0;
+
+    const uint8_t* data() const {
+      return view != nullptr ? view : payload.data();
+    }
+    size_t size() const { return view != nullptr ? view_len : payload.size(); }
   };
 
   /// Feeds one received datagram; appends any message it completes to

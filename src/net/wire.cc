@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <memory>
 #include <type_traits>
@@ -29,7 +30,8 @@ using baselines::sbft::SbProofMsg;
 using baselines::sbft::SbShareMsg;
 
 // Every wire type lists its fields once, in wire order, in
-// Wire<T>::Fields(io, m); FieldWriter (encode) and FieldReader (decode) both
+// Wire<T>::Fields(io, m); FieldWriter (encode: once over a ByteCounter for
+// the size, once over a Writer for the bytes) and FieldReader (decode) all
 // walk that list. A field's C++ type picks its primitive:
 //   uint8_t, uint32_t, uint64_t, int64_t   fixed-width little-endian;
 //   bool                                   one byte, 0 or 1;
@@ -83,9 +85,30 @@ using WireInt = std::conditional_t<std::is_same_v<std::remove_const_t<I>, int>,
 /// Map entries in a VcBlock's reputation segment: u32 id + i64 value.
 using IdMap = std::map<uint32_t, int64_t>;
 
+/// The size pass of an encode: the Put calls FieldWriter makes on a
+/// Writer, counting the bytes they would write.
+class ByteCounter {
+ public:
+  void PutU8(uint8_t) { size_ += 1; }
+  void PutU32(uint32_t) { size_ += 4; }
+  void PutU64(uint64_t) { size_ += 8; }
+  void PutI64(int64_t) { size_ += 8; }
+  void PutDigest(const crypto::Sha256Digest& d) { size_ += d.size(); }
+  void PutBytes(const std::vector<uint8_t>& bytes) {
+    size_ += 4 + bytes.size();
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+/// Walks a field list into `Sink`: a ByteCounter (size pass) or a Writer.
+template <class Sink>
 class FieldWriter {
  public:
-  explicit FieldWriter(Writer& w) : w_(w) {}
+  explicit FieldWriter(Sink& w) : w_(w) {}
 
   template <class... F>
   void operator()(const F&... fields) {
@@ -149,7 +172,7 @@ class FieldWriter {
     w_.PutU32(static_cast<uint32_t>(std::min<size_t>(m.bytes, kMaxWireNoise)));
   }
 
-  Writer& w_;
+  Sink& w_;
 };
 
 class FieldReader {
@@ -348,13 +371,24 @@ struct Kind {
   using Msg = M;
 };
 
+template <class K, class Sink>
+void EncodeInto(const typename K::Msg& m, Sink& sink) {
+  sink.PutU8(K::kByte);
+  FieldWriter<Sink> enc(sink);
+  enc(m);
+}
+
 template <class K>
-bool EncodeAs(const runtime::NetMessage& msg, Writer& w) {
+bool EncodeAs(const runtime::NetMessage& msg, std::vector<uint8_t>* out) {
   const auto* m = dynamic_cast<const typename K::Msg*>(&msg);
   if (m == nullptr) return false;
-  w.PutU8(K::kByte);
-  FieldWriter enc(w);
-  enc(*m);
+  ByteCounter counter;
+  EncodeInto<K>(*m, counter);
+  const size_t start = out->size();
+  out->resize(start + counter.size());
+  Writer w(out->data() + start, out->data() + out->size());
+  EncodeInto<K>(*m, w);
+  assert(w.at_end());
   return true;
 }
 
@@ -370,8 +404,9 @@ bool DecodeAs(uint8_t kind, Reader& r, runtime::MessagePtr* out) {
 
 template <class... Ks>
 struct KindList {
-  static bool Encode(const runtime::NetMessage& msg, Writer& w) {
-    return (EncodeAs<Ks>(msg, w) || ...);
+  static bool Encode(const runtime::NetMessage& msg,
+                     std::vector<uint8_t>* out) {
+    return (EncodeAs<Ks>(msg, out) || ...);
   }
   static runtime::MessagePtr Decode(uint8_t kind, Reader& r) {
     runtime::MessagePtr out;
@@ -417,11 +452,7 @@ using Carried = KindList<
 }  // namespace
 
 bool EncodeMessage(const runtime::NetMessage& msg, std::vector<uint8_t>* out) {
-  Writer w;
-  if (!Carried::Encode(msg, w)) return false;
-  const std::vector<uint8_t>& body = w.data();
-  out->insert(out->end(), body.begin(), body.end());
-  return true;
+  return Carried::Encode(msg, out);
 }
 
 runtime::MessagePtr DecodeMessage(const uint8_t* data, size_t len) {

@@ -10,9 +10,17 @@
 //     carries its count cap (kMax... constants below) and its minimum
 //     element size, and an enum or range-checked integer names its bound
 //     in the field list itself;
+//   * one buffer per encode — EncodeMessage first walks the field list in
+//     a size pass to learn the exact size, grows the caller's buffer
+//     once, then walks it again with a net::Writer: a cursor that
+//     stores each fixed-width field with one store and each byte string
+//     with one copy, straight into the caller's bytes (no staging buffer);
+//     both walks run the same FieldWriter code, so the size and the bytes
+//     cannot disagree;
 //   * bounds-checked reads only — a net::Reader carries an ok() flag that
 //     latches false on the first out-of-range read and poisons every
 //     subsequent accessor, so decoders never branch on uninitialised data;
+//     each fixed-width field is one load behind that one bounds check;
 //   * every length prefix is validated against both its cap and the bytes
 //     actually remaining, so a hostile count can neither overflow a vector
 //     reserve nor force a multi-gigabyte allocation;
@@ -27,10 +35,16 @@
 // family exists for domain-separated *hashing* with a globally unique tag
 // registry; this one is a plain little-endian transport serializer whose
 // output is never hashed or signed directly.
+//
+// Fixed-width fields are copied between the wire and host integers with
+// std::memcpy, so the wire's byte order is the host's: a static_assert
+// below refuses a big-endian build rather than letting it speak a
+// byte-swapped dialect.
 
 #ifndef PRESTIGE_NET_WIRE_H_
 #define PRESTIGE_NET_WIRE_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -52,39 +66,49 @@ constexpr uint64_t kMaxWireEntries = 1 << 16;   ///< Entries per ClientReply.
 constexpr uint64_t kMaxWireMapEntries = 1 << 12;  ///< rp/ci map entries.
 constexpr uint64_t kMaxWireNoise = 1 << 20;     ///< Modelled noise bytes.
 
-/// Little-endian byte writer (transport serialization only — see header
-/// comment for why this is not a types::Encoder).
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "net::Writer/net::Reader copy integers with memcpy, which is "
+              "only the little-endian wire format on a little-endian host");
+
+/// Little-endian cursor writer (transport serialization only — see header
+/// comment for why this is not a types::Encoder). It writes into the
+/// caller's bytes [pos, end), which the caller has already sized (the
+/// codec with a size pass over the same Put calls), so no Put checks
+/// capacity or allocates; running past `end` is a caller bug (asserted).
 class Writer {
  public:
-  void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v) { PutLe(v, 2); }
-  void PutU32(uint32_t v) { PutLe(v, 4); }
-  void PutU64(uint64_t v) { PutLe(v, 8); }
-  void PutI64(int64_t v) { PutLe(static_cast<uint64_t>(v), 8); }
-  void PutDigest(const crypto::Sha256Digest& d) {
-    buf_.insert(buf_.end(), d.begin(), d.end());
-  }
+  Writer(uint8_t* pos, uint8_t* end) : pos_(pos), end_(end) {}
+
+  void PutU8(uint8_t v) { Store(v); }
+  void PutU16(uint16_t v) { Store(v); }
+  void PutU32(uint32_t v) { Store(v); }
+  void PutU64(uint64_t v) { Store(v); }
+  void PutI64(int64_t v) { Store(static_cast<uint64_t>(v)); }
+  void PutDigest(const crypto::Sha256Digest& d) { PutRaw(d.data(), d.size()); }
   /// u32 length prefix + raw bytes.
   void PutBytes(const std::vector<uint8_t>& bytes) {
     PutU32(static_cast<uint32_t>(bytes.size()));
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    PutRaw(bytes.data(), bytes.size());
   }
   void PutRaw(const uint8_t* data, size_t len) {
-    buf_.insert(buf_.end(), data, data + len);
+    assert(static_cast<size_t>(end_ - pos_) >= len);
+    if (len > 0) std::memcpy(pos_, data, len);
+    pos_ += len;
   }
 
-  const std::vector<uint8_t>& data() const { return buf_; }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
+  /// True once every byte of [pos, end) has been written.
+  bool at_end() const { return pos_ == end_; }
 
  private:
-  void PutLe(uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+  template <class T>
+  void Store(T v) {
+    assert(static_cast<size_t>(end_ - pos_) >= sizeof(T));
+    std::memcpy(pos_, &v, sizeof(T));
+    pos_ += sizeof(T);
   }
 
-  std::vector<uint8_t> buf_;
+  uint8_t* pos_;
+  uint8_t* end_;
 };
 
 /// Bounds-checked little-endian reader over untrusted bytes. Accessors
@@ -94,11 +118,11 @@ class Reader {
  public:
   Reader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
 
-  uint8_t U8() { return static_cast<uint8_t>(Le(1)); }
-  uint16_t U16() { return static_cast<uint16_t>(Le(2)); }
-  uint32_t U32() { return static_cast<uint32_t>(Le(4)); }
-  uint64_t U64() { return Le(8); }
-  int64_t I64() { return static_cast<int64_t>(Le(8)); }
+  uint8_t U8() { return Load<uint8_t>(); }
+  uint16_t U16() { return Load<uint16_t>(); }
+  uint32_t U32() { return Load<uint32_t>(); }
+  uint64_t U64() { return Load<uint64_t>(); }
+  int64_t I64() { return static_cast<int64_t>(Load<uint64_t>()); }
 
   crypto::Sha256Digest Digest() {
     crypto::Sha256Digest d{};
@@ -148,14 +172,12 @@ class Reader {
     return true;
   }
 
-  uint64_t Le(int bytes) {
-    if (!Need(static_cast<size_t>(bytes))) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += static_cast<size_t>(bytes);
+  template <class T>
+  T Load() {
+    if (!Need(sizeof(T))) return 0;
+    T v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
     return v;
   }
 
@@ -203,9 +225,11 @@ enum class MsgKind : uint8_t {
   kSbProof = 66,
 };
 
-/// Appends the full wire form (kind byte + body) of `msg` to `out`.
-/// Returns false when the concrete type has no wire encoding (in-process
-/// marshal messages) — the caller decides between local delivery and drop.
+/// Appends the full wire form (kind byte + body) of `msg` to `out`, after
+/// whatever `out` already holds, growing it once to the exact size.
+/// Returns false, with `out` untouched, when the concrete type has no wire
+/// encoding (in-process marshal messages) — the caller decides between
+/// local delivery and drop.
 bool EncodeMessage(const runtime::NetMessage& msg, std::vector<uint8_t>* out);
 
 /// Decodes one message from untrusted bytes. Returns nullptr on ANY

@@ -192,7 +192,12 @@ class EventLoop {
 
   /// Carries one Env::Send: a copy of `msg` to each of the `count` ids at
   /// `targets`, in order, so a transport can do per-message work (encoding,
-  /// framing) once for all copies. Runs on `from`'s loop thread.
+  /// framing) once for all copies. Runs on the thread that called Send.
+  /// That is `from`'s loop thread, with one exception: Client::SubmitAsync
+  /// sends its SubmitRequestMsg to its own node from the caller's thread,
+  /// to marshal the request onto the loop. That message has no wire form,
+  /// so a transport must touch none of `from`'s loop-thread state before
+  /// it knows the message is one it serializes.
   virtual void Transmit(Slot* from, const NodeId* targets, size_t count,
                         const MessagePtr& msg) = 0;
 

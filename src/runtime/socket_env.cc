@@ -125,8 +125,12 @@ void SocketRuntime::Wake(Slot* slot) {
 void SocketRuntime::Transmit(Slot* slot, const NodeId* targets, size_t count,
                              const MessagePtr& msg) {
   Port* from = static_cast<Port*>(slot);
-  std::vector<uint8_t> payload;
-  if (!net::EncodeMessage(*msg, &payload)) {
+  // One buffer per send: the message is encoded behind room for a frame
+  // header, so a one-datagram message is framed in place. It is a local,
+  // not Port state, because a message with no wire form may come from a
+  // thread other than the loop's (see EventLoop::Transmit).
+  std::vector<uint8_t> buffer(net::kFrameHeaderBytes);
+  if (!net::EncodeMessage(*msg, &buffer)) {
     // No wire form: deliverable only within this process.
     for (size_t i = 0; i < count; ++i) {
       if (!Post(targets[i], from->env.id(), msg)) {
@@ -137,7 +141,8 @@ void SocketRuntime::Transmit(Slot* slot, const NodeId* targets, size_t count,
   }
   // One frame set for every copy. Empty when the message is over
   // net::kMaxMessageBytes: the framing refuses it.
-  net::FrameWriter::Frames frames = from->writer.Frame(payload);
+  net::FrameWriter::Frames frames =
+      from->writer.FrameInPlace(std::move(buffer));
   for (size_t i = 0; i < count; ++i) {
     const NodeId to = targets[i];
     const auto peer = peers_.find(to);
@@ -193,8 +198,10 @@ bool SocketRuntime::Wait(Slot* slot, util::TimeMicros next_deadline,
     p->completes.clear();
     p->assembler.Accept(p->recv_buf.data(), static_cast<size_t>(got),
                         &p->completes);
-    for (net::FrameAssembler::Complete& c : p->completes) {
-      MessagePtr msg = net::DecodeMessage(c.payload.data(), c.payload.size());
+    for (const net::FrameAssembler::Complete& c : p->completes) {
+      // A one-datagram message is a view into recv_buf, decoded before
+      // the next receive overwrites it.
+      MessagePtr msg = net::DecodeMessage(c.data(), c.size());
       if (msg == nullptr) {
         // Frame layer was satisfied but the body is malformed: counted
         // drop, nothing applied.

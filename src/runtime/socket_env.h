@@ -23,6 +23,10 @@
 //     checksums each fragment once; per destination only the header's dst
 //     and per-(src, dst) seq are rewritten before sendto. Every copy of one
 //     message shares its frame_id (reassembly is keyed per receiver);
+//   * one buffer per Send: the message is encoded behind room for a frame
+//     header, and a message that fits one datagram (under 60 KB) is framed
+//     and checksummed in that buffer; on receive, such a message is decoded
+//     straight out of the receive buffer;
 //   * messages with no wire form (e.g. client::SubmitRequestMsg, which
 //     carries a closure) fall back to the local mailbox when the
 //     destination node lives in this runtime, and are counted and dropped

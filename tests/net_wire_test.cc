@@ -14,6 +14,7 @@
 // must re-encode to the identical byte string, which proves full fidelity
 // for every field the codec carries.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -402,6 +403,74 @@ TEST(WireCodecTest, NullOrdBodyEncodesAsEmptyBatch) {
   EXPECT_TRUE(ord->txs->empty());
 }
 
+TEST(WireCodecTest, EncodeAppendsAfterBytesAlreadyInOut) {
+  // The socket backend encodes behind a frame header's room: the bytes
+  // already in `out` stay as they were and the appended suffix is the
+  // message's whole wire form.
+  const std::vector<uint8_t> prefix(kFrameHeaderBytes, 0xab);
+  for (const runtime::MessagePtr& msg : SampleMessages()) {
+    SCOPED_TRACE(msg->Name());
+    std::vector<uint8_t> out = prefix;
+    ASSERT_TRUE(EncodeMessage(*msg, &out));
+    ASSERT_GT(out.size(), prefix.size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+    const std::vector<uint8_t> suffix(out.begin() + prefix.size(), out.end());
+    EXPECT_EQ(suffix, Encode(*msg));
+    EXPECT_NE(DecodeMessage(suffix.data(), suffix.size()), nullptr);
+  }
+}
+
+struct NoWireFormMsg : public runtime::NetMessage {
+  size_t WireSize() const override { return 8; }
+  const char* Name() const override { return "NoWireForm"; }
+};
+
+TEST(WireCodecTest, NoWireFormLeavesOutUntouched) {
+  const std::vector<uint8_t> before = {1, 2, 3, 4, 5};
+  std::vector<uint8_t> out = before;
+  EXPECT_FALSE(EncodeMessage(NoWireFormMsg(), &out));
+  EXPECT_EQ(out, before);
+  std::vector<uint8_t> empty;
+  EXPECT_FALSE(EncodeMessage(NoWireFormMsg(), &empty));
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(WireCodecTest, OrdRoundTripsAtEverySize) {
+  // Ords of 0..600 txs and several command lengths: encoded sizes from a
+  // few bytes to about 60 KB, each behind a prefix of a different length,
+  // so the one resize of every encode lands on every kind of boundary.
+  // decode(encode(m)) must re-encode to the same bytes.
+  for (const size_t command_len : {0u, 1u, 17u, 41u}) {
+    std::vector<types::Transaction> txs;
+    for (uint64_t count = 0; count <= 600; ++count) {
+      SCOPED_TRACE("txs=" + std::to_string(count) +
+                   " command_len=" + std::to_string(command_len));
+      core::OrdMsg ord;
+      ord.v = 2;
+      ord.n = static_cast<types::SeqNum>(count);
+      ord.txs = types::MakeTxList(txs);
+      ord.sig = SampleSig(3);
+      std::vector<uint8_t> bytes(count % 7, 0x5c);
+      ASSERT_TRUE(EncodeMessage(ord, &bytes));
+      const std::vector<uint8_t> wire(bytes.begin() + (count % 7),
+                                      bytes.end());
+      // kind + v + n + prev_hash + count + sig, then each tx's 40 fixed
+      // bytes and its command.
+      ASSERT_EQ(wire.size(),
+                1 + 8 + 8 + 32 + 4 + 36 + count * (40 + command_len));
+      const runtime::MessagePtr decoded =
+          DecodeMessage(wire.data(), wire.size());
+      ASSERT_NE(decoded, nullptr);
+      ASSERT_EQ(Encode(*decoded), wire);
+
+      types::Transaction tx = SampleTx(static_cast<uint32_t>(count % 5),
+                                       count + 1);
+      tx.command.assign(command_len, static_cast<uint8_t>(count));
+      txs.push_back(std::move(tx));
+    }
+  }
+}
+
 // ------------------------------------------------------------- adversarial
 
 TEST(WireCodecTest, EveryStrictPrefixIsRejected) {
@@ -511,6 +580,10 @@ std::vector<uint8_t> Payload(size_t n) {
   return p;
 }
 
+std::vector<uint8_t> Bytes(const FrameAssembler::Complete& c) {
+  return std::vector<uint8_t>(c.data(), c.data() + c.size());
+}
+
 TEST(FrameTest, SingleDatagramRoundtrip) {
   FrameWriter writer(/*src=*/1);
   FrameAssembler assembler(/*local_id=*/2);
@@ -521,9 +594,62 @@ TEST(FrameTest, SingleDatagramRoundtrip) {
   assembler.Accept(datagrams[0].data(), datagrams[0].size(), &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].src, 1u);
-  EXPECT_EQ(out[0].payload, payload);
+  // A one-datagram message is a view into the datagram, not a copy.
+  EXPECT_EQ(out[0].data(), datagrams[0].data() + kFrameHeaderBytes);
+  EXPECT_TRUE(out[0].payload.empty());
+  EXPECT_EQ(Bytes(out[0]), payload);
   EXPECT_EQ(assembler.counters().messages_assembled, 1u);
   EXPECT_EQ(assembler.counters().seq_gaps, 0u);
+}
+
+/// `payload` laid out as SocketRuntime encodes it: behind room for a frame
+/// header.
+std::vector<uint8_t> WithHeaderRoom(const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> buffer(kFrameHeaderBytes + payload.size());
+  std::copy(payload.begin(), payload.end(), buffer.begin() + kFrameHeaderBytes);
+  return buffer;
+}
+
+TEST(FrameTest, InPlaceFramingMatchesFrameAndKeepsItsChecksum) {
+  const std::vector<uint8_t> payload = Payload(kMaxFragPayload);
+  FrameWriter copying(1);
+  FrameWriter in_place(1);
+  FrameWriter::Frames expected = copying.Frame(payload);
+  FrameWriter::Frames frames = in_place.FrameInPlace(WithHeaderRoom(payload));
+  ASSERT_EQ(frames.size(), 1u);
+  copying.AddressTo(2, &expected);
+  in_place.AddressTo(2, &frames);
+  EXPECT_EQ(frames, expected);
+
+  // One flipped payload byte is a checksum drop, and nothing completes.
+  frames[0][kFrameHeaderBytes + 1000] ^= 0x10;
+  FrameAssembler assembler(2);
+  std::vector<FrameAssembler::Complete> out;
+  assembler.Accept(frames[0].data(), frames[0].size(), &out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(assembler.counters().checksum_drops, 1u);
+  EXPECT_EQ(assembler.counters().messages_assembled, 0u);
+  EXPECT_TRUE(in_place.FrameInPlace(WithHeaderRoom({})).empty());
+}
+
+TEST(FrameTest, MultiFragmentMessageReassemblesIntoOwnedBytes) {
+  const std::vector<uint8_t> payload = Payload(kMaxFragPayload + 1);
+  FrameWriter writer(1);
+  FrameWriter::Frames frames = writer.FrameInPlace(WithHeaderRoom(payload));
+  ASSERT_EQ(frames.size(), 2u);
+  writer.AddressTo(2, &frames);
+  FrameAssembler assembler(2);
+  std::vector<FrameAssembler::Complete> out;
+  for (const auto& datagram : frames) {
+    assembler.Accept(datagram.data(), datagram.size(), &out);
+  }
+  // The datagrams may go away: the reassembled message owns its bytes.
+  frames.clear();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].view, nullptr);
+  EXPECT_EQ(out[0].data(), out[0].payload.data());
+  EXPECT_EQ(out[0].payload, payload);
+  EXPECT_EQ(Bytes(out[0]), payload);
 }
 
 TEST(FrameTest, FragmentedMessageReassembles) {

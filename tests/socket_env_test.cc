@@ -1,7 +1,8 @@
 // Tests for the socket backend: SocketRuntime primitives (real loopback
 // UDP transport, timers, local fallback for unserializable messages, an
 // oversized send counted as a send error, one broadcast framed once and
-// addressed to every target), live-loop hostile-datagram
+// addressed to every target, client calls from threads outside the
+// loops), live-loop hostile-datagram
 // injection, and the cross-backend equivalence run — the same fault-free
 // scenario on the simulator, the threaded runtime, and the socket runtime
 // must all commit work and pass the same safety sweep — and the process
@@ -20,8 +21,11 @@
 #include <utility>
 #include <vector>
 
+#include "app/kv_service.h"
+#include "client/client.h"
 #include "core/messages.h"
 #include "core/replica.h"
+#include "crypto/keys.h"
 #include "harness/cluster.h"
 #include "harness/process_cluster.h"
 #include "harness/runner.h"
@@ -343,6 +347,70 @@ TEST(SocketRuntimeTest, BroadcastEncodesOnceAndEveryCopyArrives) {
   const net::FrameCounters sent = runtime.node_net_stats(0);
   EXPECT_EQ(sent.frames_sent, 2u * 3u * 3u);
   EXPECT_EQ(sent.send_errors, 2u);
+}
+
+// A client's Call marshals each request onto the client's loop with an
+// Env::Send from the calling thread (Client::SubmitAsync), while every loop
+// encodes and sends on its own thread. Two foreign threads call at once
+// through one client; under TSan this checks that the socket transport
+// touches no loop-thread state for a send from outside the loop.
+TEST(SocketRuntimeTest, ForeignThreadsCallThroughAClientWhileLoopsSend) {
+  constexpr uint32_t kN = 4;
+  core::PrestigeConfig config;
+  config.n = kN;
+  config.batch_size = 16;
+  config.batch_wait = Millis(1);
+  config.timeout_min = Millis(400);
+  config.timeout_max = Millis(600);
+
+  SocketRuntime runtime(/*seed=*/41);
+  crypto::KeyStore keys(41 ^ 0xc0ffee);
+  std::vector<std::unique_ptr<core::PrestigeReplica>> replicas;
+  std::vector<NodeId> replica_ids;
+  std::string error;
+  for (uint32_t i = 0; i < kN; ++i) {
+    replicas.push_back(
+        std::make_unique<core::PrestigeReplica>(config, i, &keys));
+    replicas.back()->SetService(std::make_unique<app::KvService>(4096));
+    ASSERT_TRUE(runtime.AddNode(replicas.back().get(), i,
+                                harness::LoopbackAny(), &error))
+        << error;
+    replica_ids.push_back(i);
+  }
+  client::ClientConfig client_config;
+  client_config.client_id = 0;
+  client_config.f = types::MaxFaulty(kN);
+  client::Client client(client_config);
+  ASSERT_TRUE(runtime.AddNode(&client, kN, harness::LoopbackAny(), &error))
+      << error;
+  client.SetReplicas(replica_ids);
+  for (auto& replica : replicas) replica->SetTopology(replica_ids, {kN});
+
+  runtime.Start();
+  constexpr int kCallsPerThread = 5;
+  std::atomic<int> completed{0};
+  auto caller = [&](uint64_t first_key) {
+    for (int i = 0; i < kCallsPerThread; ++i) {
+      const client::SubmitResult put =
+          client.Call(app::kv::EncodePut(first_key + i, 7), util::Seconds(20));
+      if (!put.timed_out && put.status == app::ExecStatus::kOk) {
+        completed.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::thread first(caller, 100);
+  std::thread second(caller, 200);
+  first.join();
+  second.join();
+  runtime.Stop();
+
+  EXPECT_EQ(completed.load(), 2 * kCallsPerThread);
+  const net::FrameCounters net = runtime.net_stats();
+  EXPECT_GT(net.frames_sent, 0u);
+  EXPECT_EQ(net.unserializable_drops, 0u);
+  EXPECT_EQ(net.header_drops + net.checksum_drops + net.length_drops +
+                net.decode_drops,
+            0u);
 }
 
 // ----------------------------------------------- live hostile datagrams
