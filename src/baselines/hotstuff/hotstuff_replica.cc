@@ -1,7 +1,6 @@
 #include "baselines/hotstuff/hotstuff_replica.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace prestige {
 namespace baselines {
@@ -138,10 +137,9 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   // consuming the request pool — until the schedule reaches a leader that
   // still has it.
   auto inherited = pending_blocks_.find(next);
-  auto bound = vote_bound_.find(next);
-  if (bound != vote_bound_.end() &&
-      (inherited == pending_blocks_.end() ||
-       inherited->second.Digest() != bound->second)) {
+  const crypto::Sha256Digest* bound = BoundBody(next);
+  if (bound != nullptr && (inherited == pending_blocks_.end() ||
+                           inherited->second.Digest() != *bound)) {
     return;
   }
   types::TxList batch;
@@ -172,7 +170,7 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   // conflict is impossible here: the stand-down above covered it, and an
   // inherited body reproduces the bound digest — TxBlock digests exclude
   // the view.)
-  vote_bound_.emplace(current_block_.n(), digest);
+  BindBody(current_block_.n(), digest);
   const crypto::Sha256Digest vote_digest =
       HsVoteDigest(HsPhase::kPrepare, view_, current_block_.n(), digest);
   collect_phase_ = HsPhase::kPrepare;
@@ -220,8 +218,7 @@ void HotStuffReplica::OnProposal(runtime::NodeId from,
   // Vote binding: never back a second body at a sequence we already voted
   // for (commit quorums need 2f+1 votes, so this keeps at most one
   // certifiable body per sequence across view rotations).
-  auto bound = vote_bound_.find(msg.block.n());
-  if (bound != vote_bound_.end() && bound->second != digest) return;
+  if (BoundElsewhere(msg.block.n(), digest)) return;
   const crypto::Sha256Digest vote_digest =
       HsVoteDigest(HsPhase::kPrepare, msg.v, msg.block.n(), digest);
   if (!keys_->Verify(msg.sig, vote_digest) ||
@@ -229,7 +226,7 @@ void HotStuffReplica::OnProposal(runtime::NodeId from,
     ++metrics_.invalid_messages;
     return;
   }
-  vote_bound_.emplace(msg.block.n(), digest);
+  BindBody(msg.block.n(), digest);
   pending_blocks_[msg.block.n()] = msg.block;
 
   if (AdversaryWithholds(ReplicaIndexOf(from))) {  // Starve the prepare QC.
@@ -285,7 +282,7 @@ void HotStuffReplica::OnVote(runtime::NodeId from, const HsVoteMsg& msg) {
     GuardedSend(PeerActors(), decide);
 
     proposal_active_ = false;
-    DecideBlock(current_block_);
+    CommitInOrder(ledger::TxBlock(current_block_));
     MaybePropose(/*allow_partial=*/true);
     return;
   }
@@ -342,17 +339,17 @@ void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg) {
     }
     ledger::TxBlock block = std::move(it->second);
     pending_blocks_.erase(it);
+    // The body may have arrived in an earlier view: the commitQC is this
+    // view's, so the block carries this view (digests exclude it).
+    block.v = msg.v;
     block.commit_qc = msg.justify;
-    DecideBlock(std::move(block));
+    CommitInOrder(std::move(block));
     return;
   }
 
   // Vote for this phase (binding: refuse conflicting bodies at this n).
-  auto bound = vote_bound_.find(msg.n);
-  if (bound != vote_bound_.end() && bound->second != msg.block_digest) {
-    return;
-  }
-  vote_bound_.emplace(msg.n, msg.block_digest);
+  if (BoundElsewhere(msg.n, msg.block_digest)) return;
+  BindBody(msg.n, msg.block_digest);
   if (AdversaryWithholds(ReplicaIndexOf(from))) {  // Starve the phase QC.
     ArmViewTimer();
     return;
@@ -379,30 +376,19 @@ void HotStuffReplica::OnNewView(runtime::NodeId from, const HsNewViewMsg& msg) {
   }
 }
 
-void HotStuffReplica::DecideBlock(ledger::TxBlock block) {
-  if (block.n() <= store_.LatestTxSeq()) return;
-  if (block.n() > store_.LatestTxSeq() + 1) {
-    buffered_commits_[block.n()] = std::move(block);
-    return;
-  }
-  DeliverCommitted(block);
-  util::Status st = store_.AppendTxBlock(std::move(block));
-  assert(st.ok());
-  (void)st;
-  // Decided sequences release their bindings and pending bodies.
-  vote_bound_.erase(vote_bound_.begin(),
-                    vote_bound_.upper_bound(store_.LatestTxSeq()));
+util::Status HotStuffReplica::VerifyCommitCert(
+    const ledger::TxBlock& block) const {
+  return crypto::VerifyQuorumCert(
+      *keys_, block.commit_qc,
+      HsVoteDigest(HsPhase::kCommit, block.v, block.n(), block.Digest()),
+      config_.quorum());
+}
+
+void HotStuffReplica::AfterCommit(const ledger::TxBlock& committed) {
   pending_blocks_.erase(pending_blocks_.begin(),
-                        pending_blocks_.upper_bound(store_.LatestTxSeq()));
+                        pending_blocks_.upper_bound(committed.n()));
   ArmViewTimer();
   consecutive_failures_ = 0;
-  // Unblock any buffered successors.
-  auto it = buffered_commits_.find(store_.LatestTxSeq() + 1);
-  if (it != buffered_commits_.end()) {
-    ledger::TxBlock next = std::move(it->second);
-    buffered_commits_.erase(it);
-    DecideBlock(std::move(next));
-  }
 }
 
 void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) {
@@ -439,17 +425,11 @@ void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
     return;
   }
   if (auto* m = dynamic_cast<const core::SyncReqMsg*>(msg.get())) {
-    auto resp = std::make_shared<core::SyncRespMsg>();
-    resp->tx_blocks = store_.TxBlocksAfter(m->after, m->up_to);
-    if (!resp->tx_blocks.empty()) GuardedSend(from, resp);
+    ServeSync(from, *m);
     return;
   }
   if (auto* m = dynamic_cast<const core::SyncRespMsg*>(msg.get())) {
-    for (const ledger::TxBlock& block : m->tx_blocks) {
-      if (block.n() == store_.LatestTxSeq() + 1) {
-        DecideBlock(block);
-      }
-    }
+    ApplySyncedTxBlocks(m->tx_blocks);
     return;
   }
   if (dynamic_cast<const core::NoiseMsg*>(msg.get()) != nullptr) {

@@ -160,8 +160,12 @@ class HotStuffReplica : public core::ReplicaBase {
   void OnVote(runtime::NodeId from, const HsVoteMsg& msg);
   void OnPhase(runtime::NodeId from, const HsPhaseMsg& msg);
   void OnNewView(runtime::NodeId from, const HsNewViewMsg& msg);
-  void DecideBlock(ledger::TxBlock block);
   void ArmViewTimer();
+
+  /// The commitQC: HsVoteDigest(kCommit, v, n, D).
+  util::Status VerifyCommitCert(const ledger::TxBlock& block) const override;
+  /// Drops decided pending bodies and counts the decision as view progress.
+  void AfterCommit(const ledger::TxBlock& committed) override;
 
   HotStuffConfig config_;
 
@@ -178,16 +182,12 @@ class HotStuffReplica : public core::ReplicaBase {
   HsPhase collect_phase_ = HsPhase::kPrepare;
   crypto::QuorumCertBuilder vote_builder_;
 
-  // Follower state for the in-flight proposal.
+  /// Follower state for the in-flight proposal. The base's body binding
+  /// plays the role of basic HotStuff's lock rule: a vote in any phase
+  /// binds the body at its sequence, so views drifting under message loss
+  /// never certify two bodies at one height (found by the flaky-links
+  /// scenario).
   std::map<types::SeqNum, ledger::TxBlock> pending_blocks_;
-  std::map<types::SeqNum, ledger::TxBlock> buffered_commits_;
-  /// Cross-view vote binding (the role basic HotStuff's lock rule plays):
-  /// once this replica votes — in any phase — for a block body at sequence
-  /// n, it refuses votes for a different body at n until n decides. Every
-  /// commitQC needs 2f+1 votes, so at most one body is ever certifiable per
-  /// sequence even when views drift under message loss (found by the
-  /// flaky-links scenario).
-  std::map<types::SeqNum, crypto::Sha256Digest> vote_bound_;
 };
 
 }  // namespace hotstuff

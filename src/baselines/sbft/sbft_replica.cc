@@ -1,7 +1,5 @@
 #include "baselines/sbft/sbft_replica.h"
 
-#include <cassert>
-
 namespace prestige {
 namespace baselines {
 namespace sbft {
@@ -66,10 +64,9 @@ void SbftReplica::MaybePropose(bool allow_partial) {
   // consuming the request pool — a leader that still has the body will
   // re-propose it after a rotation.
   auto inherited = pending_blocks_.find(next);
-  auto bound = share_bound_.find(next);
-  if (bound != share_bound_.end() &&
-      (inherited == pending_blocks_.end() ||
-       inherited->second.Digest() != bound->second)) {
+  const crypto::Sha256Digest* bound = BoundBody(next);
+  if (bound != nullptr && (inherited == pending_blocks_.end() ||
+                           inherited->second.Digest() != *bound)) {
     return;
   }
   types::TxList batch;
@@ -99,7 +96,7 @@ void SbftReplica::MaybePropose(bool allow_partial) {
   // The leader's own share binds it like any follower's. (A bound conflict
   // is impossible here: the stand-down above covered it, and an inherited
   // body reproduces the bound digest — TxBlock digests exclude the view.)
-  share_bound_.emplace(current_block_.n(), digest);
+  BindBody(current_block_.n(), digest);
   const crypto::Sha256Digest stage_digest =
       SbStageDigest(0, view_, current_block_.n(), digest);
   collect_stage_ = 0;
@@ -126,30 +123,19 @@ void SbftReplica::MaybePropose(bool allow_partial) {
   });
 }
 
-void SbftReplica::ExecuteBlock(ledger::TxBlock block) {
-  if (block.n() <= store_.LatestTxSeq()) return;
-  if (block.n() > store_.LatestTxSeq() + 1) {
-    buffered_commits_[block.n()] = std::move(block);
-    return;
-  }
-  DeliverCommitted(block);
-  util::Status st = store_.AppendTxBlock(std::move(block));
-  assert(st.ok());
-  (void)st;
-  // Executed sequences release their bindings and pending bodies.
-  share_bound_.erase(share_bound_.begin(),
-                     share_bound_.upper_bound(store_.LatestTxSeq()));
+util::Status SbftReplica::VerifyCommitCert(
+    const ledger::TxBlock& block) const {
+  return crypto::VerifyQuorumCert(
+      *keys_, block.commit_qc,
+      SbStageDigest(1, block.v, block.n(), block.Digest()), config_.quorum());
+}
+
+void SbftReplica::AfterCommit(const ledger::TxBlock& committed) {
   pending_blocks_.erase(pending_blocks_.begin(),
-                        pending_blocks_.upper_bound(store_.LatestTxSeq()));
+                        pending_blocks_.upper_bound(committed.n()));
   // Progress: reset the view timer.
   if (view_timer_ != 0) CancelTimer(view_timer_);
   view_timer_ = SetTimer(config_.view_timeout, Tag(kViewTimer));
-  auto it = buffered_commits_.find(store_.LatestTxSeq() + 1);
-  if (it != buffered_commits_.end()) {
-    ledger::TxBlock next = std::move(it->second);
-    buffered_commits_.erase(it);
-    ExecuteBlock(std::move(next));
-  }
 }
 
 void SbftReplica::OnPrePrepare(runtime::NodeId from,
@@ -160,15 +146,14 @@ void SbftReplica::OnPrePrepare(runtime::NodeId from,
   // Share binding: never back a second body at a sequence we already
   // shared for (commit quorums need 2f+1 shares, so this keeps at most
   // one certifiable body per sequence across view rotations).
-  auto bound = share_bound_.find(msg.block.n());
-  if (bound != share_bound_.end() && bound->second != digest) return;
+  if (BoundElsewhere(msg.block.n(), digest)) return;
   const crypto::Sha256Digest stage_digest =
       SbStageDigest(0, msg.v, msg.block.n(), digest);
   if (!keys_->Verify(msg.sig, stage_digest)) {
     ++metrics_.invalid_messages;
     return;
   }
-  share_bound_.emplace(msg.block.n(), digest);
+  BindBody(msg.block.n(), digest);
   pending_blocks_[msg.block.n()] = msg.block;
   if (AdversaryWithholds(ReplicaIndexOf(from))) return;  // Starve shares.
   auto share = std::make_shared<SbShareMsg>();
@@ -199,7 +184,6 @@ void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg) {
   }
   if (msg.stage == SbProofMsg::Stage::kCommit) {
     // Reply with an execution share.
-    it->second.commit_qc = msg.proof;
     if (AdversaryWithholds(ReplicaIndexOf(from))) return;  // Starve exec.
     const crypto::Sha256Digest exec_digest =
         SbStageDigest(1, msg.v, msg.n, msg.block_digest);
@@ -212,7 +196,11 @@ void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg) {
   } else {
     ledger::TxBlock block = std::move(it->second);
     pending_blocks_.erase(it);
-    ExecuteBlock(std::move(block));
+    // The body may have arrived in an earlier view: the execute-proof is
+    // this view's, so the block carries this view (digests exclude it).
+    block.v = msg.v;
+    block.commit_qc = msg.proof;
+    CommitInOrder(std::move(block));
   }
 }
 
@@ -262,7 +250,6 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
 
     if (collect_stage_ == 0) {
       // Full-commit-proof; start collecting execution shares.
-      current_block_.commit_qc = proof;
       out->stage = SbProofMsg::Stage::kCommit;
       out->sig =
           SignMaybeCorrupt(SbStageDigest(0, view_, current_block_.n(), digest));
@@ -280,13 +267,22 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
           SignMaybeCorrupt(SbStageDigest(1, view_, current_block_.n(), digest));
       GuardedSend(PeerActors(), out);
       proposal_active_ = false;
-      ExecuteBlock(current_block_);
+      current_block_.commit_qc = proof;
+      CommitInOrder(ledger::TxBlock(current_block_));
       MaybePropose(true);
     }
     return;
   }
   if (auto* m = dynamic_cast<const SbProofMsg*>(msg.get())) {
     OnProof(from, *m);
+    return;
+  }
+  if (auto* m = dynamic_cast<const core::SyncReqMsg*>(msg.get())) {
+    ServeSync(from, *m);
+    return;
+  }
+  if (auto* m = dynamic_cast<const core::SyncRespMsg*>(msg.get())) {
+    ApplySyncedTxBlocks(m->tx_blocks);
     return;
   }
 }

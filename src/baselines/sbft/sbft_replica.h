@@ -120,9 +120,15 @@ class SbftReplica : public core::ReplicaBase {
   bool ActingAsLeader() const override { return IsLeader(); }
 
   void MaybePropose(bool allow_partial);
-  void ExecuteBlock(ledger::TxBlock block);
   void OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg);
   void OnProof(runtime::NodeId from, const SbProofMsg& msg);
+
+  /// The execute-proof: SbStageDigest(1, v, n, D). Every replica that
+  /// executes a block holds it (2f+1 replicas sign it only after holding
+  /// the commit-proof), so a served block carries it.
+  util::Status VerifyCommitCert(const ledger::TxBlock& block) const override;
+  /// Drops executed pending bodies and restarts the view timer.
+  void AfterCommit(const ledger::TxBlock& committed) override;
 
   SbftConfig config_;
 
@@ -135,15 +141,11 @@ class SbftReplica : public core::ReplicaBase {
   int collect_stage_ = 0;
   crypto::QuorumCertBuilder share_builder_;
 
+  /// Pre-prepared bodies. A share binds its body at its sequence (the
+  /// base's body binding); without that, view drift under message loss
+  /// lets two leaders certify conflicting blocks at the same height
+  /// (found by the flaky-links scenario).
   std::map<types::SeqNum, ledger::TxBlock> pending_blocks_;
-  std::map<types::SeqNum, ledger::TxBlock> buffered_commits_;
-  /// Cross-view share binding: once this replica sends a share for a block
-  /// body at sequence n, it never shares for a *different* body at n until
-  /// n executes. Any execute-proof needs 2f+1 shares, so at most one body
-  /// can ever be certified per sequence — without this, view drift under
-  /// message loss lets two leaders certify conflicting blocks at the same
-  /// height (found by the flaky-links scenario).
-  std::map<types::SeqNum, crypto::Sha256Digest> share_bound_;
 };
 
 }  // namespace sbft

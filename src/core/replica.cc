@@ -189,7 +189,7 @@ void PrestigeReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
     return;
   }
   if (auto* m = dynamic_cast<const SyncReqMsg*>(msg.get())) {
-    OnSyncReq(from, *m);
+    ServeSync(from, *m);
     return;
   }
   if (auto* m = dynamic_cast<const SyncRespMsg*>(msg.get())) {
@@ -364,17 +364,6 @@ void PrestigeReplica::RequestSync(runtime::NodeId from, SyncReqMsg::Kind kind,
   GuardedSend(from, req);
 }
 
-void PrestigeReplica::OnSyncReq(runtime::NodeId from, const SyncReqMsg& msg) {
-  auto resp = std::make_shared<SyncRespMsg>();
-  if (msg.kind == SyncReqMsg::Kind::kTxBlocks) {
-    resp->tx_blocks = store_.TxBlocksAfter(msg.after, msg.up_to);
-  } else {
-    resp->vc_blocks = store_.VcBlocksAfter(msg.after, msg.up_to);
-  }
-  if (resp->tx_blocks.empty() && resp->vc_blocks.empty()) return;
-  GuardedSend(from, resp);
-}
-
 void PrestigeReplica::OnSyncResp(runtime::NodeId from, const SyncRespMsg& msg) {
   (void)from;
   if (!msg.vc_blocks.empty()) vc_sync_backoff_until_ = 0;
@@ -390,15 +379,7 @@ void PrestigeReplica::OnSyncResp(runtime::NodeId from, const SyncRespMsg& msg) {
       InstallVcBlock(block, /*as_leader=*/false);
     }
   }
-  for (const ledger::TxBlock& block : msg.tx_blocks) {
-    if (block.n() <= store_.LatestTxSeq()) continue;
-    if (!ValidateAndAppendTxBlock(block).ok()) {
-      ++metrics_.invalid_messages;
-      return;
-    }
-    commit_bound_.erase(block.n());
-    pending_blocks_.erase(block.n());
-  }
+  if (!ApplySyncedTxBlocks(msg.tx_blocks)) return;
   // A newly elected leader catching up to the cluster tip (C3 slack) may
   // now begin proposing.
   if (awaiting_catchup_ && role_ == Role::kLeader) {
@@ -413,33 +394,12 @@ void PrestigeReplica::OnSyncResp(runtime::NodeId from, const SyncRespMsg& msg) {
   ReplayStashedCampaigns();
 }
 
-util::Status PrestigeReplica::VerifyCommitQc(
+util::Status PrestigeReplica::VerifyCommitCert(
     const ledger::TxBlock& block) const {
   return crypto::VerifyQuorumCert(
       *keys_, block.commit_qc,
       ledger::CommitDigest(block.v, block.n(), block.Digest()),
       config_.quorum());
-}
-
-util::Status PrestigeReplica::ValidateAndAppendTxBlock(
-    const ledger::TxBlock& block) {
-  PRESTIGE_RETURN_IF_ERROR(VerifyCommitQc(block));
-  return AppendCertifiedTxBlock(ledger::TxBlock(block));
-}
-
-util::Status PrestigeReplica::AppendCertifiedTxBlock(ledger::TxBlock&& block) {
-  PRESTIGE_RETURN_IF_ERROR(store_.AppendTxBlock(std::move(block)));
-  // One delivery path for every commit route (leader, follower, sync),
-  // reading the block where the store now holds it.
-  const ledger::TxBlock& committed = *store_.LatestTxBlock();
-  DeliverCommitted(committed);
-  if (!complaints_.empty()) {
-    for (const types::Transaction& tx : committed.txs()) {
-      auto it = complaints_.find(IdOf(tx));
-      if (it != complaints_.end()) ResolveComplaint(it);
-    }
-  }
-  return util::Status::OK();
 }
 
 util::Status PrestigeReplica::ValidateAndAppendVcBlock(

@@ -40,7 +40,7 @@ enum class Role { kFollower, kRedeemer, kCandidate, kLeader };
 const char* RoleName(Role role);
 
 /// One PrestigeBFT server as a simulation actor.
-class PrestigeReplica : public ReplicaBase {
+class PrestigeReplica final : public ReplicaBase {
  public:
   PrestigeReplica(PrestigeConfig config, types::ReplicaId replica_id,
                   const crypto::KeyStore* keys,
@@ -70,36 +70,6 @@ class PrestigeReplica : public ReplicaBase {
   /// tracks the complaint table and never leaks entries).
   size_t complaint_count() const { return complaints_.size(); }
   size_t complaint_probe_count() const { return complaint_probe_keys_.size(); }
-  std::vector<types::SeqNum> BoundSeqs() const {
-    std::vector<types::SeqNum> out;
-    for (const auto& [n, d] : commit_bound_) {
-      (void)d;
-      out.push_back(n);
-    }
-    return out;
-  }
-  std::vector<types::SeqNum> InflightSeqs() const {
-    std::vector<types::SeqNum> out;
-    for (const auto& [n, inst] : instances_) {
-      (void)inst;
-      out.push_back(n);
-    }
-    return out;
-  }
-  struct InstanceDebug {
-    types::SeqNum n;
-    bool ordered;
-    uint32_t ord_count;
-    uint32_t cmt_count;
-  };
-  std::vector<InstanceDebug> DebugInstances() const {
-    std::vector<InstanceDebug> out;
-    for (const auto& [n, inst] : instances_) {
-      out.push_back(InstanceDebug{n, inst.ordered, inst.ord_builder.Count(),
-                                  inst.cmt_builder.Count()});
-    }
-    return out;
-  }
 
  private:
   // ------------------------------------------------------------ plumbing
@@ -175,10 +145,10 @@ class PrestigeReplica : public ReplicaBase {
   void OnHeartbeat(runtime::NodeId from, const HeartbeatMsg& hb);
   /// Verifies `block`'s commit QC over its own body, then commits it.
   void CommitBlock(ledger::TxBlock&& block);
-  /// Commits a block whose commit QC is already verified: moves it into
-  /// the store, applies it, notifies clients and clears its follower state.
+  /// The replication route's commit of a block whose commit QC is already
+  /// verified: the base commit step, then the work only this route does
+  /// (the equivocation guard, in-flight keys and the progress timer).
   void CommitCertified(ledger::TxBlock&& block);
-  void DrainBufferedBlocks();
   void ResetProgress();
   void ArmProgressTimer();
   util::DurationMicros SampleTimeout();
@@ -233,14 +203,12 @@ class PrestigeReplica : public ReplicaBase {
   // ------------------------------------------------------------- sync
   void RequestSync(runtime::NodeId from, SyncReqMsg::Kind kind, int64_t after,
                    int64_t up_to);
-  void OnSyncReq(runtime::NodeId from, const SyncReqMsg& msg);
   void OnSyncResp(runtime::NodeId from, const SyncRespMsg& msg);
   /// Checks the commit QC against CommitDigest(v, n, block.Digest()).
-  util::Status VerifyCommitQc(const ledger::TxBlock& block) const;
-  /// Sync path: verifies, then appends a copy of `block`.
-  util::Status ValidateAndAppendTxBlock(const ledger::TxBlock& block);
-  /// Appends a certified block and delivers it from the store.
-  util::Status AppendCertifiedTxBlock(ledger::TxBlock&& block);
+  util::Status VerifyCommitCert(const ledger::TxBlock& block) const override;
+  /// Resolves complaints about the committed requests and drops the
+  /// pending body.
+  void AfterCommit(const ledger::TxBlock& committed) override;
   util::Status ValidateAndAppendVcBlock(const ledger::VcBlock& block);
   void ReplayStashedCampaigns();
 
@@ -282,14 +250,9 @@ class PrestigeReplica : public ReplicaBase {
   bool partial_due_ = false;
 
   // Follower replication state.
+  /// Bodies received via Ord. The cross-view binding (ReplicaBase's
+  /// BoundBody) binds a body here when this replica ordering-signs it.
   std::map<types::SeqNum, PendingBlock> pending_blocks_;
-  std::map<types::SeqNum, ledger::TxBlock> buffered_commits_;
-  /// Cross-view ordering binding: once this replica ordering-signs a block
-  /// at sequence n, it never ordering- or commit-signs a different block at
-  /// n. Since an ordering_QC needs 2f+1 signers, at most one body can ever
-  /// be certified per sequence number — the invariant behind Theorem 3's
-  /// intersection argument. Entries clear when n commits.
-  std::map<types::SeqNum, crypto::Sha256Digest> commit_bound_;
   /// Requests inside in-flight leader instances (prevents a re-proposed
   /// body's transactions from being batched a second time).
   RequestSet inflight_tx_keys_;

@@ -119,6 +119,72 @@ bool ReplicaBase::ReplyIfCommitted(const types::Transaction& tx,
   return true;
 }
 
+// ----------------------------------------------------- committed blocks
+
+void ReplicaBase::CommitInOrder(ledger::TxBlock&& block) {
+  const types::SeqNum tip = store_.LatestTxSeq();
+  if (block.n() <= tip) return;
+  if (block.n() > tip + 1) {
+    BufferCommit(std::move(block));
+    return;
+  }
+  CommitNext(std::move(block));
+}
+
+bool ReplicaBase::CommitNext(ledger::TxBlock&& block) {
+  if (!AppendAndDeliver(std::move(block))) return false;
+  while (!buffered_commits_.empty() &&
+         buffered_commits_.begin()->first == store_.LatestTxSeq() + 1) {
+    ledger::TxBlock next = std::move(buffered_commits_.begin()->second);
+    buffered_commits_.erase(buffered_commits_.begin());
+    if (!VerifyCommitCert(next).ok()) {
+      ++metrics_.invalid_messages;
+      break;
+    }
+    if (!AppendAndDeliver(std::move(next))) break;
+  }
+  return true;
+}
+
+bool ReplicaBase::AppendAndDeliver(ledger::TxBlock&& block) {
+  if (!store_.AppendTxBlock(std::move(block)).ok()) {
+    ++metrics_.invalid_messages;
+    return false;
+  }
+  const ledger::TxBlock& committed = *store_.LatestTxBlock();
+  DeliverCommitted(committed);
+  const types::SeqNum tip = committed.n();
+  bound_bodies_.erase(bound_bodies_.begin(), bound_bodies_.upper_bound(tip));
+  buffered_commits_.erase(buffered_commits_.begin(),
+                          buffered_commits_.upper_bound(tip));
+  AfterCommit(committed);
+  return true;
+}
+
+void ReplicaBase::ServeSync(runtime::NodeId from, const SyncReqMsg& req) {
+  auto resp = std::make_shared<SyncRespMsg>();
+  if (req.kind == SyncReqMsg::Kind::kTxBlocks) {
+    resp->tx_blocks = store_.TxBlocksAfter(req.after, req.up_to);
+  } else {
+    resp->vc_blocks = store_.VcBlocksAfter(req.after, req.up_to);
+  }
+  if (resp->tx_blocks.empty() && resp->vc_blocks.empty()) return;
+  GuardedSend(from, resp);
+}
+
+bool ReplicaBase::ApplySyncedTxBlocks(
+    const std::vector<ledger::TxBlock>& blocks) {
+  for (const ledger::TxBlock& block : blocks) {
+    if (block.n() <= store_.LatestTxSeq()) continue;
+    if (!VerifyCommitCert(block).ok()) {
+      ++metrics_.invalid_messages;
+      return false;
+    }
+    if (!CommitNext(ledger::TxBlock(block))) return false;
+  }
+  return true;
+}
+
 // ------------------------------------------------------- executed block
 
 void ReplicaBase::DeliverCommitted(const ledger::TxBlock& block) {

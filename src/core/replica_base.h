@@ -3,12 +3,15 @@
 // PrestigeReplica, HotStuffReplica and SbftReplica all derive from it. The
 // base owns the replica's identity and keys, its topology, the fault plane
 // (types::FaultSpec and the active-adversary policy), the request pool,
-// and the step every executed block takes: execution through the
-// CommitPipeline, per-pool client replies, commit metrics and the pool
-// prune. Whether a request is decided is asked of the CommitPipeline's
-// session table, the one record of executed requests. Phases, view change,
-// pacemakers, vote/share bindings and in-order buffering stay in each
-// protocol class.
+// and the committed-block path: the per-sequence body binding, the
+// in-order buffer, the commit step every block takes (store append, then
+// execution through the CommitPipeline, per-pool client replies, commit
+// metrics and the pool prune) and the block-sync server and applier.
+// Whether a request is decided is asked of the CommitPipeline's session
+// table, the one record of executed requests. Phases, view change,
+// pacemakers and sync-request triggers stay in each protocol class; a
+// protocol adds to the commit path only its commit-certificate check
+// (VerifyCommitCert) and its after-commit work (AfterCommit).
 //
 // Every FaultSpec therefore reaches all three protocols through the same
 // code: a crashed replica processes nothing (OnMessage/OnTimer check
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "core/commit_delivery.h"
+#include "core/messages.h"
 #include "core/metrics.h"
 #include "crypto/keys.h"
 #include "ledger/block_store.h"
@@ -86,6 +90,13 @@ class ReplicaBase : public runtime::Node {
   /// Buffered requests. A commit that finds more than 8·batch_size + 1024
   /// prunes the committed ones.
   size_t pending_pool_size() const { return pending_txs_.size(); }
+  /// Sequences of buffered blocks waiting for their predecessor. Entries
+  /// at or below the tip are released on every commit.
+  std::vector<types::SeqNum> BufferedSeqs() const {
+    std::vector<types::SeqNum> seqs;
+    for (const auto& entry : buffered_commits_) seqs.push_back(entry.first);
+    return seqs;
+  }
 
  protected:
   ReplicaBase(types::ReplicaId id, const crypto::KeyStore* keys,
@@ -180,6 +191,62 @@ class ReplicaBase : public runtime::Node {
   /// reply (the client missed the originals) and returns true.
   bool ReplyIfCommitted(const types::Transaction& tx, types::View v);
 
+  // --------------------------------------------------- committed blocks
+
+  /// Whether `block.commit_qc` certifies `block` at (block.v, block.n()):
+  /// the protocol's commit certificate. Every buffered block is checked
+  /// when it drains and every synced block before it is applied.
+  virtual util::Status VerifyCommitCert(const ledger::TxBlock& block) const = 0;
+  /// The protocol's work after every commit, whatever the route (its own
+  /// phases, a drained buffer entry or a synced block). `committed` is the
+  /// store's copy.
+  virtual void AfterCommit(const ledger::TxBlock& committed) = 0;
+
+  /// The per-sequence body binding: once this replica votes for a body at
+  /// sequence n, it never votes for a different body there until n
+  /// commits. A certificate needs 2f+1 votes, so at most one body is
+  /// certifiable per sequence, across views (Theorem 3). Returns the body
+  /// bound at `n`, or nullptr.
+  const crypto::Sha256Digest* BoundBody(types::SeqNum n) const {
+    auto it = bound_bodies_.find(n);
+    return it == bound_bodies_.end() ? nullptr : &it->second;
+  }
+  /// Whether a body other than `digest` is bound at `n`.
+  bool BoundElsewhere(types::SeqNum n,
+                      const crypto::Sha256Digest& digest) const {
+    const crypto::Sha256Digest* bound = BoundBody(n);
+    return bound != nullptr && *bound != digest;
+  }
+  /// Binds `digest` at `n` unless a body is bound there already.
+  void BindBody(types::SeqNum n, const crypto::Sha256Digest& digest) {
+    bound_bodies_.emplace(n, digest);
+  }
+
+  /// Holds `block` (above tip + 1) until its predecessor commits; its
+  /// certificate is checked when it drains.
+  void BufferCommit(ledger::TxBlock block) {
+    buffered_commits_[block.n()] = std::move(block);
+  }
+  /// Commits a block whose certificate the caller checked, in sequence
+  /// order: ignored at or below the tip, buffered above tip + 1.
+  void CommitInOrder(ledger::TxBlock&& block);
+  /// The commit step for the block at tip + 1, whose certificate the
+  /// caller checked. The store append runs first; a refused append counts
+  /// as invalid and nothing else runs. Then the block is delivered from
+  /// the store's copy, the binding and buffer entries at or below the tip
+  /// are released, AfterCommit runs, and buffered successors drain while
+  /// tip + 1 is buffered, each verified first. Returns whether `block`
+  /// itself was committed.
+  bool CommitNext(ledger::TxBlock&& block);
+
+  /// The sync server: answers a SyncReqMsg of either kind with the blocks
+  /// it holds in (after, up_to]; sends nothing when it holds none.
+  void ServeSync(runtime::NodeId from, const SyncReqMsg& req);
+  /// The synced-block applier: verifies and commits each block above the
+  /// tip in order. Stops at the first refused block (counted invalid) and
+  /// returns false.
+  bool ApplySyncedTxBlocks(const std::vector<ledger::TxBlock>& blocks);
+
   /// The executed-block step: executes `block` exactly once (a tampered
   /// copy under a forged-reply adversary), routes the per-pool replies,
   /// counts the commit and prunes the request pool.
@@ -200,6 +267,14 @@ class ReplicaBase : public runtime::Node {
   ReplicaMetrics metrics_;
 
  private:
+  /// Appends the block at tip + 1, delivers it and releases what its
+  /// commit settles (CommitNext without the drain).
+  bool AppendAndDeliver(ledger::TxBlock&& block);
+
+  std::map<types::SeqNum, crypto::Sha256Digest> bound_bodies_;
+  /// Committed blocks above tip + 1, keyed by sequence.
+  std::map<types::SeqNum, ledger::TxBlock> buffered_commits_;
+
   const size_t pool_limit_;
   // Request pool: every replica buffers the broadcast requests; only the
   // leader proposes. Committed entries linger until proposal time or the

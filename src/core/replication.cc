@@ -2,8 +2,6 @@
 // with batching and pipelining. Message complexity O(n); 7 rounds end-to-end
 // including the client (Prop, Ord, replies, Cmt, replies, txBlock, Notif).
 
-#include <cassert>
-
 #include "core/replica.h"
 
 namespace prestige {
@@ -147,11 +145,10 @@ void PrestigeReplica::OnOrd(runtime::NodeId from, const OrdMsg& ord) {
   // Cross-view ordering binding: once we ordering-sign a body at n, no
   // other body may occupy n (Theorem 3). Bind now; conflicting proposals
   // from later views are refused until n commits.
-  auto bound = commit_bound_.find(ord.n);
-  if (bound != commit_bound_.end() && bound->second != digest) {
+  if (BoundElsewhere(ord.n, digest)) {
     return;  // Keep the bound body; refuse the conflicting proposal.
   }
-  commit_bound_.emplace(ord.n, digest);
+  BindBody(ord.n, digest);
 
   PendingBlock pending;
   pending.block = std::move(block);
@@ -239,8 +236,7 @@ void PrestigeReplica::OnCmt(runtime::NodeId from, const CmtMsg& cmt) {
   }
   // Binding check (Theorem 3): never commit-sign a block conflicting with
   // the body we ordering-signed at this sequence number.
-  auto bound = commit_bound_.find(cmt.n);
-  if (bound != commit_bound_.end() && bound->second != digest) {
+  if (BoundElsewhere(cmt.n, digest)) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -307,7 +303,7 @@ void PrestigeReplica::OnTxBlockMsg(runtime::NodeId from, const TxBlockMsg& msg) 
   if (n <= latest) return;  // Duplicate.
   if (n > latest + 1) {
     // Gap: buffer and fetch the missing prefix.
-    buffered_commits_[n] = msg.block;
+    BufferCommit(msg.block);
     RequestSync(from, SyncReqMsg::Kind::kTxBlocks, latest, n - 1);
     return;
   }
@@ -339,16 +335,14 @@ void PrestigeReplica::OnTxBlockMsg(runtime::NodeId from, const TxBlockMsg& msg) 
       block.ordering_qc = msg.block.ordering_qc;
       block.commit_qc = msg.block.commit_qc;
       CommitCertified(std::move(block));
-      DrainBufferedBlocks();
       return;
     }
   }
   CommitBlock(ledger::TxBlock(msg.block));
-  DrainBufferedBlocks();
 }
 
 void PrestigeReplica::CommitBlock(ledger::TxBlock&& block) {
-  if (!VerifyCommitQc(block).ok()) {
+  if (!VerifyCommitCert(block).ok()) {
     ++metrics_.invalid_messages;
     return;
   }
@@ -356,29 +350,30 @@ void PrestigeReplica::CommitBlock(ledger::TxBlock&& block) {
 }
 
 void PrestigeReplica::CommitCertified(ledger::TxBlock&& block) {
-  if (!AppendCertifiedTxBlock(std::move(block)).ok()) {
-    ++metrics_.invalid_messages;
-    return;
+  const types::SeqNum first = block.n();
+  if (!CommitNext(std::move(block))) return;
+  // This route's own work, for the block and each buffered successor its
+  // commit released: one progress reset per block, as when each committed
+  // on its own (every reset draws a fresh timeout).
+  for (types::SeqNum n = first; n <= store_.LatestTxSeq(); ++n) {
+    const ledger::TxBlock& committed = *store_.TxBlockAt(n);
+    signed_ord_.erase(std::make_pair(committed.v, n));
+    for (const types::Transaction& tx : committed.txs()) {
+      inflight_tx_keys_.erase(IdOf(tx));
+    }
+    ResetProgress();
   }
-  const ledger::TxBlock& committed = *store_.LatestTxBlock();
-  const types::SeqNum n = committed.n();
-  pending_blocks_.erase(n);
-  signed_ord_.erase(std::make_pair(committed.v, n));
-  commit_bound_.erase(n);
-  for (const types::Transaction& tx : committed.txs()) {
-    inflight_tx_keys_.erase(IdOf(tx));
-  }
-  ResetProgress();
 }
 
-void PrestigeReplica::DrainBufferedBlocks() {
-  while (true) {
-    auto it = buffered_commits_.find(store_.LatestTxSeq() + 1);
-    if (it == buffered_commits_.end()) break;
-    ledger::TxBlock block = std::move(it->second);
-    buffered_commits_.erase(it);
-    CommitBlock(std::move(block));
+void PrestigeReplica::AfterCommit(const ledger::TxBlock& committed) {
+  if (!complaints_.empty()) {
+    for (const types::Transaction& tx : committed.txs()) {
+      auto it = complaints_.find(IdOf(tx));
+      if (it != complaints_.end()) ResolveComplaint(it);
+    }
   }
+  pending_blocks_.erase(pending_blocks_.begin(),
+                        pending_blocks_.upper_bound(committed.n()));
 }
 
 // -------------------------------------------------------------- liveness

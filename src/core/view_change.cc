@@ -700,8 +700,8 @@ void PrestigeReplica::InstallVcBlock(const ledger::VcBlock& block,
     }
     pending_blocks_.clear();
   } else {
-    // Keep uncommitted bodies we ordering-signed. commit_bound_ persists
-    // across views (Theorem 3), so the cluster can only ever certify
+    // Keep uncommitted bodies we ordering-signed. The body binding
+    // persists across views (Theorem 3), so the cluster can only ever certify
     // those exact bodies at their sequence numbers — and the leader that
     // eventually re-proposes them may be several views away (e.g. after
     // an intermediate quiet leader). Discarding them here used to

@@ -315,6 +315,8 @@ class Cluster {
     return *replicas_[static_cast<size_t>(g) * protocol_.n + i];
   }
   const Config& protocol_config() const { return protocol_; }
+  /// The replicas' key store (tests sign certificates with it).
+  const crypto::KeyStore& keys() const { return keys_; }
   Backend& backend() { return backend_; }
 
   // Backend-specific handles; each exists only on the backends that have

@@ -81,11 +81,13 @@ const VcBlock* BlockStore::VcBlockFor(types::View v) const {
 
 std::vector<TxBlock> BlockStore::TxBlocksAfter(types::SeqNum after,
                                                types::SeqNum up_to) const {
-  std::vector<TxBlock> out;
-  for (const TxBlock& b : tx_chain_) {
-    if (b.n() > after && b.n() <= up_to) out.push_back(b);
-  }
-  return out;
+  // Heights are contiguous from 1 (AppendTxBlock enforces it), so block n
+  // sits at index n - 1.
+  const types::SeqNum first = std::max<types::SeqNum>(after, 0);
+  const types::SeqNum last = std::min(up_to, LatestTxSeq());
+  if (first >= last) return {};
+  return std::vector<TxBlock>(tx_chain_.begin() + first,
+                              tx_chain_.begin() + last);
 }
 
 std::vector<VcBlock> BlockStore::VcBlocksAfter(types::View after,

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baselines/hotstuff/hotstuff_replica.h"
 #include "baselines/prosecutor/prosecutor.h"
 #include "baselines/sbft/sbft_replica.h"
 #include "core/replica.h"
 #include "harness/cluster.h"
+#include "harness/invariants.h"
 
 namespace prestige {
 namespace baselines {
@@ -199,6 +202,168 @@ TEST(RequestPoolTest, EveryProtocolBoundsItsPool) {
   ExpectPoolsBounded<PbCluster>(prestige, "prestigebft");
   ExpectPoolsBounded<HsCluster>(HsConfig(), "hotstuff");
   ExpectPoolsBounded<SbCluster>(SbConfig(), "sbft");
+}
+
+// ------------------------------------------------------------ commit path
+
+// One protocol as the commit-path tests drive it: its cluster, a small
+// config, one whose leaders rotate, and the digest its commit certificate
+// signs for block (v, n, D).
+struct PrestigeProtocol {
+  using ClusterT = PbCluster;
+  static core::PrestigeConfig Config() {
+    core::PrestigeConfig config;
+    config.n = 4;
+    config.batch_size = 100;
+    return config;
+  }
+  static core::PrestigeConfig RotatingConfig() {
+    core::PrestigeConfig config = Config();
+    config.rotation_period = Seconds(1);
+    return config;
+  }
+  static crypto::Sha256Digest CertDigest(types::View v, types::SeqNum n,
+                                         const crypto::Sha256Digest& d) {
+    return ledger::CommitDigest(v, n, d);
+  }
+};
+
+struct HotStuffProtocol {
+  using ClusterT = HsCluster;
+  static hotstuff::HotStuffConfig Config() { return HsConfig(); }
+  static hotstuff::HotStuffConfig RotatingConfig() {
+    hotstuff::HotStuffConfig config = HsConfig();
+    config.rotation_period = Millis(700);
+    return config;
+  }
+  static crypto::Sha256Digest CertDigest(types::View v, types::SeqNum n,
+                                         const crypto::Sha256Digest& d) {
+    return hotstuff::HsVoteDigest(hotstuff::HsPhase::kCommit, v, n, d);
+  }
+};
+
+struct SbftProtocol {
+  using ClusterT = SbCluster;
+  static sbft::SbftConfig Config() { return SbConfig(); }
+  // Under loss SBFT stalls, and each stall ends in a view-timeout rotation.
+  static sbft::SbftConfig RotatingConfig() { return SbConfig(); }
+  static crypto::Sha256Digest CertDigest(types::View v, types::SeqNum n,
+                                         const crypto::Sha256Digest& d) {
+    return sbft::SbStageDigest(1, v, n, d);
+  }
+};
+
+template <typename Protocol>
+class CommitPathTest : public ::testing::Test {};
+using Protocols =
+    ::testing::Types<PrestigeProtocol, HotStuffProtocol, SbftProtocol>;
+TYPED_TEST_SUITE(CommitPathTest, Protocols);
+
+// Counts the client replies a replica sends to it.
+class ReplyProbe : public runtime::Node {
+ public:
+  void OnMessage(runtime::NodeId, const runtime::MessagePtr& msg) override {
+    if (dynamic_cast<const types::ClientReply*>(msg.get()) != nullptr) {
+      ++replies;
+    }
+  }
+  int replies = 0;
+};
+
+// A peer's SyncResp carries the next block with a quorum certificate of
+// valid signatures over a different body: the replica refuses it before
+// anything runs.
+TYPED_TEST(CommitPathTest, SyncedBlockWithoutItsCertificateIsRefused) {
+  WorkloadOptions idle = SmallWorkload(3);
+  idle.clients_per_pool = 0;  // Nothing commits but the injected block.
+  typename TypeParam::ClusterT cluster(TypeParam::Config(), idle);
+  ReplyProbe probe;
+  const runtime::NodeId probe_id = cluster.backend().Add(&probe, nullptr);
+  std::vector<runtime::NodeId> replicas;
+  for (uint32_t i = 0; i < 4; ++i) {
+    replicas.push_back(cluster.replica_actor_id(i));
+  }
+  auto& target = cluster.replica(1);
+  target.SetTopology(replicas, {probe_id});  // Pool 0's replies: the probe.
+  cluster.Start();
+  cluster.RunFor(Millis(1));
+
+  auto block_with = [](uint64_t fingerprint) {
+    types::Transaction tx;
+    tx.pool = 0;
+    tx.client_seq = 1;
+    tx.fingerprint = fingerprint;
+    ledger::TxBlock block;
+    block.v = 1;
+    block.set_n(1);
+    block.set_txs(types::MakeTxList({tx}));
+    block.status.assign(1, 1);
+    return block;
+  };
+  ledger::TxBlock block = block_with(7);
+  const crypto::Sha256Digest other =
+      TypeParam::CertDigest(1, 1, block_with(8).Digest());
+  crypto::QuorumCertBuilder qc(other, 3);
+  for (types::ReplicaId r : {0u, 2u, 3u}) {
+    qc.Add(cluster.keys().Sign(r, other), other);
+  }
+  block.commit_qc = qc.Build();
+  auto resp = std::make_shared<core::SyncRespMsg>();
+  resp->tx_blocks.push_back(block);
+
+  const int64_t invalid = target.metrics().invalid_messages;
+  cluster.network().Send(replicas[2], replicas[1], resp);
+  cluster.RunFor(Millis(50));
+  EXPECT_EQ(target.store().LatestTxSeq(), 0);
+  EXPECT_EQ(target.metrics().invalid_messages, invalid + 1);
+  EXPECT_EQ(target.delivery().stats().executed, 0);
+  EXPECT_EQ(probe.replies, 0);
+}
+
+// Under 1% loss every replica fills gaps through buffering and sync; each
+// commit releases the buffer entries it settles, and chains agree.
+TYPED_TEST(CommitPathTest, LossyRunReleasesBufferedBlocksAtOrBelowTheTip) {
+  typename TypeParam::ClusterT cluster(TypeParam::Config(), SmallWorkload(5));
+  cluster.network().fault_plane().SetDefaultLinkFault(
+      sim::LinkFault::Lossy(0.01));
+  cluster.Start();
+  cluster.RunFor(Seconds(10));
+  for (uint32_t i = 0; i < 4; ++i) {
+    const auto& replica = cluster.replica(i);
+    const types::SeqNum tip = replica.store().LatestTxSeq();
+    size_t settled = 0;  // Buffered at or below the tip: never drained.
+    for (types::SeqNum n : replica.BufferedSeqs()) settled += n <= tip;
+    EXPECT_EQ(settled, 0u) << "replica " << i << " at tip " << tip;
+  }
+  const harness::SafetyReport safety = harness::CheckSafety(cluster);
+  EXPECT_TRUE(safety.ok) << safety.violation;
+  EXPECT_GT(safety.max_height, 10);
+}
+
+// Whichever route a block took into a chain (the protocol's own phases, a
+// drained buffer entry, or sync) it carries the commit certificate a peer
+// checks when the block is served: the QC over the protocol's digest at
+// the block's own view, also when the body arrived in an earlier view.
+TYPED_TEST(CommitPathTest, EveryChainedBlockCarriesItsCommitCertificate) {
+  typename TypeParam::ClusterT cluster(TypeParam::RotatingConfig(),
+                                       SmallWorkload(3));
+  cluster.network().fault_plane().SetDefaultLinkFault(
+      sim::LinkFault::Lossy(0.01));
+  cluster.Start();
+  cluster.RunFor(Seconds(8));
+  std::set<types::View> views;
+  for (uint32_t i = 0; i < 4; ++i) {
+    for (const ledger::TxBlock& block : cluster.replica(i).store().tx_chain()) {
+      views.insert(block.v);
+      EXPECT_TRUE(crypto::VerifyQuorumCert(
+                      cluster.keys(), block.commit_qc,
+                      TypeParam::CertDigest(block.v, block.n(), block.Digest()),
+                      3)
+                      .ok())
+          << "replica " << i << " block " << block.n() << " view " << block.v;
+    }
+  }
+  EXPECT_GT(views.size(), 1u) << "the run must cross view changes";
 }
 
 // -------------------------------------------------------------- Prosecutor

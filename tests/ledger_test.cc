@@ -216,6 +216,29 @@ TEST(BlockStoreTest, RangeQueriesForSyncUp) {
   EXPECT_EQ(blocks[1].n(), 4);
 }
 
+TEST(BlockStoreTest, RangeQueryEdgeCases) {
+  auto heights = [](const std::vector<TxBlock>& blocks) {
+    std::vector<types::SeqNum> out;
+    for (const TxBlock& b : blocks) out.push_back(b.n());
+    return out;
+  };
+  BlockStore store;
+  EXPECT_TRUE(store.TxBlocksAfter(0, 10).empty());  // Empty chain.
+  crypto::Sha256Digest prev{};
+  for (types::SeqNum n = 1; n <= 5; ++n) {
+    ASSERT_TRUE(store.AppendTxBlock(MakeTxBlock(n, 1, prev)).ok());
+    prev = store.LatestTxDigest();
+  }
+  using Heights = std::vector<types::SeqNum>;
+  EXPECT_EQ(heights(store.TxBlocksAfter(5, 9)), Heights{});  // At the tip.
+  EXPECT_EQ(heights(store.TxBlocksAfter(7, 9)), Heights{});  // Past it.
+  EXPECT_EQ(heights(store.TxBlocksAfter(3, 99)), (Heights{4, 5}));
+  EXPECT_EQ(heights(store.TxBlocksAfter(3, 3)), Heights{});  // after == up_to.
+  EXPECT_EQ(heights(store.TxBlocksAfter(4, 2)), Heights{});  // after > up_to.
+  EXPECT_EQ(heights(store.TxBlocksAfter(-3, 2)), (Heights{1, 2}));
+  EXPECT_EQ(heights(store.TxBlocksAfter(0, 5)), (Heights{1, 2, 3, 4, 5}));
+}
+
 TEST(BlockStoreTest, HistoricPenaltiesNewestFirst) {
   BlockStore store;
   VcBlock b2 = MakeVcBlock(2, 0, {});

@@ -6,9 +6,10 @@ Usage: tools/bench_same.py DIR_OR_FILE_A DIR_OR_FILE_B
 Given two BENCH_*.json files, compares them; given two directories,
 compares every BENCH_*.json file of each by name (both must hold the same
 set). Wall-clock quantities (the WALL keys, at any depth) are dropped
-before the comparison: they differ from run to run by nature. Exit 0 when
-everything matches, 1 on a difference (each one is printed), 2 on a usage
-error.
+before the comparison: they differ from run to run by nature. Each
+differing field is printed as FILE: PATH: A -> B, where PATH is its JSON
+path (e.g. protocols[1].hashes). Exit 0 when everything matches, 1 on a
+difference, 2 on a usage error.
 """
 
 import json
@@ -31,6 +32,22 @@ def strip(obj):
 def load(path):
     with open(path) as f:
         return strip(json.load(f))
+
+
+def diff(a, b, path=""):
+    """Yields (path, a_value, b_value) for every field where a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                yield sub, a.get(key, "<absent>"), b.get(key, "<absent>")
+            else:
+                yield from diff(a[key], b[key], sub)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diff(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, a, b
 
 
 def bench_files(directory):
@@ -59,10 +76,13 @@ def main(argv):
     else:
         print(usage, file=sys.stderr)
         return 2
-    differ = [label for label, pa, pb in todo if load(pa) != load(pb)]
-    for label in differ:
-        print(f"{label}: differs")
-    print(f"bench_same: {len(todo) - len(differ)}/{len(todo)} identical")
+    differ = 0
+    for label, pa, pb in todo:
+        fields = list(diff(load(pa), load(pb)))
+        differ += bool(fields)
+        for path, va, vb in fields:
+            print(f"{label}: {path}: {json.dumps(va)} -> {json.dumps(vb)}")
+    print(f"bench_same: {len(todo) - differ}/{len(todo)} identical")
     return 1 if differ else 0
 
 
