@@ -342,6 +342,21 @@ void BM_DecodeOrd(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeOrd);
 
+// A client pool's ClientBatch of 500 Puts: every replica decodes each one
+// before admitting its requests.
+void BM_DecodeClientBatch(benchmark::State& state) {
+  types::ClientBatch batch;
+  batch.txs = SeededPutBatch();
+  std::vector<uint8_t> bytes;
+  net::EncodeMessage(batch, &bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::DecodeMessage(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_DecodeClientBatch);
+
 // One replica's ClientReply for a 500-Put block (each entry carries the
 // Put's 8-byte previous value); a replica sends one per block to every
 // client pool the block serves.

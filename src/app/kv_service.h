@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "app/service.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace app {
@@ -24,7 +24,7 @@ namespace kv {
 
 enum Op : uint8_t { kPut = 0x01, kGet = 0x02 };
 
-inline void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
+inline void AppendU64(util::SmallBytes& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (i * 8)));
 }
 
@@ -34,36 +34,33 @@ inline uint64_t ReadU64(const uint8_t* p) {
   return v;
 }
 
-inline std::vector<uint8_t> EncodePut(uint64_t key, uint64_t value) {
-  std::vector<uint8_t> cmd;
-  cmd.reserve(17);
+// Commands and results fit util::SmallBytes' inline buffer: encoding one
+// allocates nothing.
+inline util::SmallBytes EncodePut(uint64_t key, uint64_t value) {
+  util::SmallBytes cmd;
   cmd.push_back(kPut);
   AppendU64(cmd, key);
   AppendU64(cmd, value);
   return cmd;
 }
 
-inline std::vector<uint8_t> EncodeGet(uint64_t key) {
-  std::vector<uint8_t> cmd;
-  cmd.reserve(9);
+inline util::SmallBytes EncodeGet(uint64_t key) {
+  util::SmallBytes cmd;
   cmd.push_back(kGet);
   AppendU64(cmd, key);
   return cmd;
 }
 
-/// Encodes a u64 result in one allocation of exactly 8 bytes (appending
-/// byte by byte would grow the vector through 1, 2, 4 and 8).
-inline std::vector<uint8_t> EncodeValue(uint64_t v) {
-  std::vector<uint8_t> result(8);
-  for (size_t i = 0; i < 8; ++i) {
-    result[i] = static_cast<uint8_t>(v >> (i * 8));
-  }
+/// Encodes a u64 result (Put's previous value / Get's value).
+inline util::SmallBytes EncodeValue(uint64_t v) {
+  util::SmallBytes result;
+  AppendU64(result, v);
   return result;
 }
 
 /// Decodes a u64 result (Put's previous value / Get's value). Returns 0 for
 /// malformed results.
-inline uint64_t DecodeValue(const std::vector<uint8_t>& result) {
+inline uint64_t DecodeValue(const util::SmallBytes& result) {
   return result.size() == 8 ? ReadU64(result.data()) : 0;
 }
 
@@ -80,7 +77,7 @@ class KvService : public Service {
     uint64_t key = 0;
     uint64_t value = 0;
     uint8_t op = kv::kPut;
-    const std::vector<uint8_t>& cmd = tx.command;
+    const util::SmallBytes& cmd = tx.command;
     if (cmd.empty()) {
       // Legacy fingerprint-derived Put (see header comment).
       key = tx.fingerprint % key_space_;

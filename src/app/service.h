@@ -19,10 +19,10 @@
 #define PRESTIGE_APP_SERVICE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "types/ids.h"
 #include "types/transaction.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace app {
@@ -38,7 +38,7 @@ enum class ExecStatus : uint8_t {
 /// Result of executing one command.
 struct Response {
   ExecStatus status = ExecStatus::kOk;
-  std::vector<uint8_t> result;  ///< Opaque result bytes (may be empty).
+  util::SmallBytes result;  ///< Opaque result bytes (may be empty).
 };
 
 /// 64-bit digest of a response, used for client-side reply-quorum matching
@@ -48,7 +48,7 @@ struct Response {
 /// two fields by reference so a reply entry is digested without first being
 /// copied into a Response.
 inline uint64_t ResultDigest(ExecStatus status,
-                             const std::vector<uint8_t>& result) {
+                             const util::SmallBytes& result) {
   uint64_t h = 1469598103934665603ULL;
   h = (h ^ static_cast<uint8_t>(status)) * 1099511628211ULL;
   for (uint8_t b : result) {

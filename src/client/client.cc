@@ -27,7 +27,7 @@ void Client::OnStart() {
   SetTimer(config_.retry_scan_period, Tag(kRetryScan));
 }
 
-uint64_t Client::Submit(std::vector<uint8_t> command, SubmitCallback done,
+uint64_t Client::Submit(util::SmallBytes command, SubmitCallback done,
                         util::DurationMicros expire_after) {
   types::Transaction tx;
   tx.pool = config_.client_id;
@@ -53,7 +53,7 @@ uint64_t Client::Submit(std::vector<uint8_t> command, SubmitCallback done,
   return next_seq_ - 1;
 }
 
-void Client::SubmitAsync(std::vector<uint8_t> command, SubmitCallback done,
+void Client::SubmitAsync(util::SmallBytes command, SubmitCallback done,
                          util::DurationMicros expire_after) {
   auto msg = std::make_shared<SubmitRequestMsg>();
   msg->command = std::move(command);
@@ -62,7 +62,7 @@ void Client::SubmitAsync(std::vector<uint8_t> command, SubmitCallback done,
   Send(id(), std::move(msg));  // Marshal onto the owning event loop.
 }
 
-SubmitResult Client::Call(std::vector<uint8_t> command,
+SubmitResult Client::Call(util::SmallBytes command,
                           util::DurationMicros wait_limit) {
   struct SyncState {
     std::mutex mu;

@@ -42,6 +42,7 @@
 #include "types/ids.h"
 #include "types/transaction.h"
 #include "util/bitset.h"
+#include "util/small_bytes.h"
 #include "util/stats.h"
 
 namespace prestige {
@@ -69,7 +70,7 @@ struct ClientConfig {
 /// Outcome of one submitted command.
 struct SubmitResult {
   app::ExecStatus status = app::ExecStatus::kOk;
-  std::vector<uint8_t> result;     ///< Opaque result (f+1-matched).
+  util::SmallBytes result;         ///< Opaque result (f+1-matched).
   types::SeqNum height = 0;        ///< Block height it committed at.
   util::DurationMicros latency = 0;
   bool timed_out = false;          ///< Only set by the blocking Call().
@@ -92,7 +93,7 @@ struct ClientStats {
 /// its completion) from a foreign thread onto the owning event loop via a
 /// loopback self-send. Never leaves the local node.
 struct SubmitRequestMsg : public runtime::NetMessage {
-  std::vector<uint8_t> command;
+  util::SmallBytes command;
   SubmitCallback done;
   util::DurationMicros expire_after = 0;
 
@@ -121,18 +122,18 @@ class Client : public runtime::Node {
   /// when `expire_after` > 0 and the deadline passes first, with
   /// `timed_out` set, after which the request is abandoned (no further
   /// retransmission or complaints). 0 = retry until completion.
-  uint64_t Submit(std::vector<uint8_t> command, SubmitCallback done,
+  uint64_t Submit(util::SmallBytes command, SubmitCallback done,
                   util::DurationMicros expire_after = 0);
 
   /// Thread-safe submit: marshals onto the owning event loop. For
   /// embedders on the threaded backend.
-  void SubmitAsync(std::vector<uint8_t> command, SubmitCallback done,
+  void SubmitAsync(util::SmallBytes command, SubmitCallback done,
                    util::DurationMicros expire_after = 0);
 
   /// Blocking convenience for the threaded backend: submits and waits for
   /// the f+1-matched result (or `wait_limit`, returning timed_out). Must
   /// NOT be called from this node's own event loop.
-  SubmitResult Call(std::vector<uint8_t> command,
+  SubmitResult Call(util::SmallBytes command,
                     util::DurationMicros wait_limit = util::Seconds(30));
 
   /// Sends the aggregation buffer now instead of waiting for the window.

@@ -28,10 +28,14 @@ namespace internal {
 uint32_t Crc32cPortable(uint32_t crc, const uint8_t* data, size_t len);
 
 #if PRESTIGE_CRC32C_SSE42
-/// The same CRC on the SSE4.2 crc32 instruction, eight bytes per step.
-/// Only call it when Sse42Supported() is true: on other CPUs it is an
-/// illegal instruction.
+/// The same CRC on the SSE4.2 crc32 instruction, eight bytes per step in
+/// three independent chains: while three kSse42LongBlock-byte blocks remain
+/// it runs one chain per block, then the same over kSse42ShortBlock-byte
+/// blocks, then one chain over what is left. Only call it when
+/// Sse42Supported() is true: on other CPUs it is an illegal instruction.
 uint32_t Crc32cSse42(uint32_t crc, const uint8_t* data, size_t len);
+constexpr size_t kSse42LongBlock = 8192;
+constexpr size_t kSse42ShortBlock = 256;
 #endif
 
 /// True when this CPU executes the SSE4.2 kernel. Always false where the

@@ -15,6 +15,7 @@
 #include "ledger/vc_block.h"
 #include "types/client_messages.h"
 #include "types/transaction.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace net {
@@ -36,7 +37,7 @@ using baselines::sbft::SbShareMsg;
 //   uint8_t, uint32_t, uint64_t, int64_t   fixed-width little-endian;
 //   bool                                   one byte, 0 or 1;
 //   crypto::Sha256Digest                   32 raw bytes;
-//   std::vector<uint8_t>                   u32 length <= kMaxWireBytes,
+//   std::vector<uint8_t>, util::SmallBytes u32 length <= kMaxWireBytes,
 //                                          then the bytes;
 //   std::vector<T>                         u32 count <= Elem<T>::kMaxCount
 //                                          (each element at least
@@ -94,9 +95,7 @@ class ByteCounter {
   void PutU64(uint64_t) { size_ += 8; }
   void PutI64(int64_t) { size_ += 8; }
   void PutDigest(const crypto::Sha256Digest& d) { size_ += d.size(); }
-  void PutBytes(const std::vector<uint8_t>& bytes) {
-    size_ += 4 + bytes.size();
-  }
+  void PutBytes(const uint8_t*, size_t len) { size_ += 4 + len; }
 
   size_t size() const { return size_; }
 
@@ -134,7 +133,12 @@ class FieldWriter {
       Wire<T>::Fields(*this, v);
     }
   }
-  void Field(const std::vector<uint8_t>& bytes) { w_.PutBytes(bytes); }
+  void Field(const std::vector<uint8_t>& bytes) {
+    w_.PutBytes(bytes.data(), bytes.size());
+  }
+  void Field(const util::SmallBytes& bytes) {
+    w_.PutBytes(bytes.data(), bytes.size());
+  }
   template <class T>
   void Field(const std::vector<T>& items) {
     w_.PutU32(static_cast<uint32_t>(items.size()));
@@ -205,7 +209,8 @@ class FieldReader {
       Wire<T>::Fields(*this, v);
     }
   }
-  void Field(std::vector<uint8_t>& bytes) { bytes = r_.Bytes(kMaxWireBytes); }
+  void Field(std::vector<uint8_t>& bytes) { r_.Bytes(kMaxWireBytes, bytes); }
+  void Field(util::SmallBytes& bytes) { r_.Bytes(kMaxWireBytes, bytes); }
   template <class T>
   void Field(std::vector<T>& items) {
     const uint64_t count = r_.Count(Elem<T>::kMaxCount, Elem<T>::kMinBytes);

@@ -85,10 +85,11 @@ class Writer {
   void PutU64(uint64_t v) { Store(v); }
   void PutI64(int64_t v) { Store(static_cast<uint64_t>(v)); }
   void PutDigest(const crypto::Sha256Digest& d) { PutRaw(d.data(), d.size()); }
-  /// u32 length prefix + raw bytes.
-  void PutBytes(const std::vector<uint8_t>& bytes) {
-    PutU32(static_cast<uint32_t>(bytes.size()));
-    PutRaw(bytes.data(), bytes.size());
+  /// u32 length prefix + raw bytes (a std::vector<uint8_t> or a
+  /// util::SmallBytes field).
+  void PutBytes(const uint8_t* data, size_t len) {
+    PutU32(static_cast<uint32_t>(len));
+    PutRaw(data, len);
   }
   void PutRaw(const uint8_t* data, size_t len) {
     assert(static_cast<size_t>(end_ - pos_) >= len);
@@ -132,17 +133,19 @@ class Reader {
     return d;
   }
 
-  /// u32 length prefix + raw bytes, rejecting lengths above `max_len` or
-  /// beyond the remaining input.
-  std::vector<uint8_t> Bytes(uint64_t max_len) {
+  /// u32 length prefix + raw bytes into `out` (a std::vector<uint8_t> or
+  /// a util::SmallBytes: anything with assign(first, last)), rejecting
+  /// lengths above `max_len` or beyond the remaining input; `out` is left
+  /// as it was on a rejection.
+  template <class ByteString>
+  void Bytes(uint64_t max_len, ByteString& out) {
     const uint32_t n = U32();
     if (!ok_ || n > max_len || !Need(n)) {
       ok_ = false;
-      return {};
+      return;
     }
-    std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + n);
+    out.assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
-    return out;
   }
 
   /// u32 element-count prefix capped at `max_count`; also rejects counts

@@ -31,6 +31,7 @@
 #include "app/kv_service.h"
 #include "types/ids.h"
 #include "types/transaction.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace shard {
@@ -57,7 +58,7 @@ class Router {
   /// The key a transaction routes on: the KV key when the command decodes
   /// as a Put/Get, the fingerprint otherwise (see header comment).
   static uint64_t RoutingKey(const types::Transaction& tx) {
-    const std::vector<uint8_t>& cmd = tx.command;
+    const util::SmallBytes& cmd = tx.command;
     if (!cmd.empty()) {
       if (cmd[0] == app::kv::kPut && cmd.size() == 17) {
         return app::kv::ReadU64(cmd.data() + 1);

@@ -4,11 +4,13 @@
 #ifndef PRESTIGE_TYPES_CLIENT_MESSAGES_H_
 #define PRESTIGE_TYPES_CLIENT_MESSAGES_H_
 
+#include <type_traits>
 #include <vector>
 
 #include "runtime/message.h"
 #include "types/ids.h"
 #include "types/transaction.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace types {
@@ -36,8 +38,11 @@ struct ReplyEntry {
   uint8_t status = 0;           ///< app::ExecStatus of the execution.
   bool duplicate = false;       ///< Served from the replica's reply cache.
   uint64_t result_digest = 0;   ///< app::ResultDigest(status, result).
-  std::vector<uint8_t> result;  ///< Opaque execution result bytes.
+  util::SmallBytes result;      ///< Opaque execution result bytes.
 };
+
+// A ClientReply's entries grow in a vector; see Transaction's assert.
+static_assert(std::is_nothrow_move_constructible_v<ReplyEntry>);
 
 /// Client reply (the successor of the paper's commit Notif): a replica
 /// tells a client pool that the listed requests committed at sequence `n`

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace types {
@@ -53,7 +54,8 @@ class EncoderBase {
     self().Append(d.data(), d.size());
     return self();
   }
-  Derived& PutBytes(const std::vector<uint8_t>& b) {
+  /// u64 length, then the bytes. A std::vector<uint8_t> converts.
+  Derived& PutBytes(const util::SmallBytes& b) {
     PutU64(b.size());
     self().Append(b.data(), b.size());
     return self();

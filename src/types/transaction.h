@@ -18,6 +18,7 @@
 
 #include "types/codec.h"
 #include "types/ids.h"
+#include "util/small_bytes.h"
 #include "util/time.h"
 
 namespace prestige {
@@ -35,8 +36,9 @@ struct Transaction {
   uint32_t payload_size = 32;     ///< m: modelled request payload bytes.
   uint64_t fingerprint = 0;       ///< Content stand-in when command is empty.
   /// Opaque command bytes executed by app::Service (empty for synthetic
-  /// consensus-only workloads).
-  std::vector<uint8_t> command;
+  /// consensus-only workloads). Inline up to
+  /// util::SmallBytes::kInlineCapacity bytes: a KV command allocates nothing.
+  util::SmallBytes command;
 
   bool operator==(const Transaction& other) const {
     return pool == other.pool && client_seq == other.client_seq &&

@@ -51,7 +51,7 @@ void ClientPool::SetActive(bool active) {
   Flush();
 }
 
-std::vector<uint8_t> ClientPool::MakeCommand() {
+util::SmallBytes ClientPool::MakeCommand() {
   switch (pool_config_.command_kind) {
     case CommandKind::kKvPut: {
       uint64_t key = rng()->NextUint64() % pool_config_.kv_key_space;

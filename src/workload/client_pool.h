@@ -20,6 +20,7 @@
 #include "client/client.h"
 #include "shard/router.h"
 #include "types/ids.h"
+#include "util/small_bytes.h"
 #include "util/stats.h"
 
 namespace prestige {
@@ -80,7 +81,7 @@ class ClientPool : public client::Client {
   /// One closed-loop step: submit the next command; its completion
   /// callback calls back here.
   void IssueNext();
-  std::vector<uint8_t> MakeCommand();
+  util::SmallBytes MakeCommand();
 
   ClientPoolConfig pool_config_;
   shard::Router router_;

@@ -173,8 +173,8 @@ uint64_t OpenLoopPool::PickKey() {
   return key;  // No key in the space routes here; config is unusable.
 }
 
-std::vector<uint8_t> OpenLoopPool::MakeCommand(uint64_t key,
-                                               uint64_t session) {
+util::SmallBytes OpenLoopPool::MakeCommand(uint64_t key,
+                                           uint64_t session) {
   switch (pool_config_.command_kind) {
     case CommandKind::kKvPut:
       // The session id rides as the stored value: sessions exist on the

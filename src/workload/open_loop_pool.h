@@ -42,6 +42,7 @@
 #include "client/client.h"
 #include "shard/router.h"
 #include "types/ids.h"
+#include "util/small_bytes.h"
 #include "util/stats.h"
 #include "workload/arrival.h"
 #include "workload/client_pool.h"
@@ -146,7 +147,7 @@ class OpenLoopPool : public client::Client {
                     const client::SubmitResult& result);
   void DrainBacklog();
   uint64_t PickKey();
-  std::vector<uint8_t> MakeCommand(uint64_t key, uint64_t session);
+  util::SmallBytes MakeCommand(uint64_t key, uint64_t session);
 
   OpenLoopConfig pool_config_;
   shard::Router router_;

@@ -27,7 +27,7 @@ using util::Millis;
 using util::Seconds;
 
 types::Transaction MakeTx(types::ClientPoolId pool, uint64_t seq,
-                          std::vector<uint8_t> command = {}) {
+                          util::SmallBytes command = {}) {
   types::Transaction tx;
   tx.pool = pool;
   tx.client_seq = seq;

@@ -12,6 +12,7 @@
 #include "ledger/vc_block.h"
 #include "types/codec.h"
 #include "types/transaction.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace types {
@@ -149,6 +150,32 @@ TEST(HashingEncoderTest, DigestMatchesMaterializingEncoder) {
       .PutString("");
 
   EXPECT_EQ(henc.Digest(), enc.Digest());
+}
+
+TEST(HashingEncoderTest, BytesMatchAcrossTheInlineLimit) {
+  // A command's bytes (util::SmallBytes, inline or spilled) encode as a
+  // u64 length, then the bytes, and both sinks agree on them.
+  constexpr size_t kInline = util::SmallBytes::kInlineCapacity;
+  for (const size_t len : {size_t{0}, size_t{1}, size_t{17}, kInline - 1,
+                           kInline, kInline + 1, size_t{4096}}) {
+    SCOPED_TRACE(len);
+    std::vector<uint8_t> blob(len);
+    for (size_t i = 0; i < len; ++i) blob[i] = static_cast<uint8_t>(i * 7);
+    const util::SmallBytes bytes = blob;
+
+    Encoder enc("bytes");
+    enc.PutBytes(bytes).PutU8(1);
+    HashingEncoder henc("bytes");
+    henc.PutBytes(bytes).PutU8(1);
+
+    Decoder dec(enc.bytes());
+    EXPECT_EQ(dec.TakeString(), "bytes");
+    ASSERT_EQ(dec.TakeU64(), len);
+    for (size_t i = 0; i < len; ++i) ASSERT_EQ(dec.TakeU8(), blob[i]);
+    EXPECT_EQ(dec.TakeU8(), 1);
+    EXPECT_EQ(dec.remaining(), 0u);
+    EXPECT_EQ(henc.Digest(), enc.Digest());
+  }
 }
 
 TEST(HashingEncoderTest, EmptyPayloadMatchesToo) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "app/kv_service.h"
 #include "core/replica.h"
 #include "crypto/sha256.h"
@@ -13,6 +16,7 @@
 #include "sim/actor.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace core {
@@ -83,7 +87,8 @@ class ReplicaUnitTest : public ::testing::Test {
 
   /// Leader-signed Ord for a fresh block at the replica's next sequence.
   std::shared_ptr<OrdMsg> MakeOrd(types::SeqNum n, uint64_t salt = 0,
-                                  size_t num_txs = 1) {
+                                  size_t num_txs = 1,
+                                  const util::SmallBytes& command = {}) {
     auto ord = std::make_shared<OrdMsg>();
     ord->v = 1;
     ord->n = n;
@@ -94,6 +99,7 @@ class ReplicaUnitTest : public ::testing::Test {
       tx.pool = 0;
       tx.client_seq = 100 * (i + 1) + static_cast<uint64_t>(n);
       tx.fingerprint = 7 + salt;
+      tx.command = command;
       txs.push_back(tx);
     }
     ord->txs = types::MakeTxList(std::move(txs));
@@ -870,22 +876,38 @@ class TamperingAdversary : public types::AdversaryPolicy {
 };
 
 // Forged execution runs on a copy: the replica's state diverges, but the
-// body it shares with the leader and stores in its chain is unchanged.
+// body it shares with the leader and stores in its chain is unchanged —
+// whether the commands are empty, inline or spilled to a heap block (a
+// copy of a spilled command must not share its block).
 TEST_F(ReplicaUnitTest, TamperedExecutionLeavesTheSharedBodyIntact) {
   static const TamperingAdversary adversary;  // Outlives the fixture.
   replica_->SetAdversary(&adversary);
   replica_->SetService(std::make_unique<app::KvService>());
-  auto ord = MakeOrd(1, /*salt=*/0, /*num_txs=*/4);
-  const std::vector<types::Transaction> proposed = *ord->txs;
-  Deliver(0, ord);
-  Deliver(0, CertifiedTxBlock(*ord));
-  ASSERT_EQ(replica_->store().LatestTxSeq(), 1);
-  ASSERT_EQ(replica_->delivery().stats().executed, 4);
+  const util::SmallBytes commands[] = {
+      {},
+      app::kv::EncodePut(5, 6),
+      std::vector<uint8_t>(util::SmallBytes::kInlineCapacity + 1, 0x01)};
+  ASSERT_GT(commands[2].capacity(), util::SmallBytes::kInlineCapacity);
+  std::vector<types::Transaction> committed;
+  types::SeqNum n = 0;
+  for (const util::SmallBytes& command : commands) {
+    SCOPED_TRACE("command bytes " + std::to_string(command.size()));
+    ++n;
+    auto ord = MakeOrd(n, /*salt=*/0, /*num_txs=*/4, command);
+    const std::vector<types::Transaction> proposed = *ord->txs;
+    Deliver(0, ord);
+    Deliver(0, CertifiedTxBlock(*ord));
+    ASSERT_EQ(replica_->store().LatestTxSeq(), n);
+    ASSERT_EQ(replica_->delivery().stats().executed,
+              4 * static_cast<int64_t>(n));
 
-  EXPECT_EQ(*ord->txs, proposed);
-  EXPECT_EQ(replica_->store().LatestTxBlock()->body().get(), ord->txs.get());
+    EXPECT_EQ(*ord->txs, proposed);
+    EXPECT_EQ(replica_->store().LatestTxBlock()->body().get(),
+              ord->txs.get());
+    committed.insert(committed.end(), proposed.begin(), proposed.end());
+  }
   app::KvService honest;
-  for (const types::Transaction& tx : proposed) honest.Execute(tx);
+  for (const types::Transaction& tx : committed) honest.Execute(tx);
   EXPECT_NE(replica_->service().StateDigest(), honest.StateDigest());
 }
 

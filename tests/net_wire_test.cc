@@ -19,6 +19,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include "net/wire.h"
 #include "types/client_messages.h"
 #include "util/random.h"
+#include "util/small_bytes.h"
 
 namespace prestige {
 namespace net {
@@ -471,6 +473,95 @@ TEST(WireCodecTest, OrdRoundTripsAtEverySize) {
   }
 }
 
+// A request's bytes live in util::SmallBytes; the vectors of transactions
+// and reply entries must still relocate by move.
+static_assert(std::is_nothrow_move_constructible_v<types::Transaction>);
+static_assert(std::is_nothrow_move_constructible_v<types::ReplyEntry>);
+
+/// Command / result lengths on both sides of SmallBytes' inline limit.
+std::vector<size_t> ByteStringLengths() {
+  constexpr size_t kInline = util::SmallBytes::kInlineCapacity;
+  return {0, 1, 17, kInline - 1, kInline, kInline + 1, 4096};
+}
+
+/// A one-tx ClientBatch whose command is `len` bytes, and a one-entry
+/// ClientReply whose result is `len` bytes: in both the byte string is the
+/// last field of the encoding.
+std::vector<runtime::MessagePtr> ByteStringCarriers(size_t len) {
+  auto batch = std::make_shared<types::ClientBatch>();
+  batch->txs.push_back(SampleTx(1, 2));
+  batch->txs.back().command.assign(len, 0xc3);
+  auto reply = std::make_shared<types::ClientReply>();
+  reply->pool = 1;
+  types::ReplyEntry entry;
+  entry.client_seq = 2;
+  entry.result.assign(len, 0x3c);
+  reply->entries.push_back(entry);
+  return {batch, reply};
+}
+
+const util::SmallBytes& CarriedBytes(const runtime::NetMessage& msg) {
+  if (const auto* batch = dynamic_cast<const types::ClientBatch*>(&msg)) {
+    return batch->txs.at(0).command;
+  }
+  return dynamic_cast<const types::ClientReply&>(msg).entries.at(0).result;
+}
+
+TEST(WireCodecTest, ByteStringsRoundTripInlineAndSpilled) {
+  for (const size_t len : ByteStringLengths()) {
+    for (const runtime::MessagePtr& msg : ByteStringCarriers(len)) {
+      SCOPED_TRACE(std::string(msg->Name()) + " len=" + std::to_string(len));
+      const std::vector<uint8_t> bytes = Encode(*msg);
+      // u32 length, then the bytes, at the end of the encoding.
+      ASSERT_GE(bytes.size(), len + 4);
+      uint32_t prefix = 0;
+      std::memcpy(&prefix, bytes.data() + bytes.size() - len - 4, 4);
+      EXPECT_EQ(prefix, len);
+      const runtime::MessagePtr decoded =
+          DecodeMessage(bytes.data(), bytes.size());
+      ASSERT_NE(decoded, nullptr);
+      const util::SmallBytes& got = CarriedBytes(*decoded);
+      EXPECT_EQ(got, CarriedBytes(*msg));
+      // Decoded inline up to the limit, else into one block of the length.
+      EXPECT_EQ(got.capacity(),
+                std::max(len, util::SmallBytes::kInlineCapacity));
+      EXPECT_EQ(Encode(*decoded), bytes);
+    }
+  }
+}
+
+TEST(WireCodecTest, ByteStringLengthsAreBounded) {
+  // A byte string of exactly kMaxWireBytes decodes; one byte more does not.
+  for (const size_t len : {static_cast<size_t>(kMaxWireBytes),
+                           static_cast<size_t>(kMaxWireBytes) + 1}) {
+    for (const runtime::MessagePtr& msg : ByteStringCarriers(len)) {
+      SCOPED_TRACE(std::string(msg->Name()) + " len=" + std::to_string(len));
+      const std::vector<uint8_t> bytes = Encode(*msg);
+      const bool decodes =
+          DecodeMessage(bytes.data(), bytes.size()) != nullptr;
+      EXPECT_EQ(decodes, len <= kMaxWireBytes);
+    }
+  }
+  // A length prefix that runs past the input (or stops short of its end)
+  // is refused, on both sides of the inline limit.
+  for (const size_t len : ByteStringLengths()) {
+    for (const runtime::MessagePtr& msg : ByteStringCarriers(len)) {
+      SCOPED_TRACE(std::string(msg->Name()) + " len=" + std::to_string(len));
+      std::vector<uint8_t> bytes = Encode(*msg);
+      const size_t prefix_at = bytes.size() - len - 4;
+      for (const uint32_t lie : {static_cast<uint32_t>(len + 1),
+                                 static_cast<uint32_t>(len + 4096),
+                                 static_cast<uint32_t>(len) - 1}) {
+        if (len == 0 && lie == static_cast<uint32_t>(len) - 1) continue;
+        std::vector<uint8_t> mutant = bytes;
+        std::memcpy(mutant.data() + prefix_at, &lie, 4);
+        EXPECT_EQ(DecodeMessage(mutant.data(), mutant.size()), nullptr)
+            << "length " << lie;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- adversarial
 
 TEST(WireCodecTest, EveryStrictPrefixIsRejected) {
@@ -846,6 +937,34 @@ TEST(Crc32cKernelTest, Sse42MatchesPortable) {
       ASSERT_EQ(internal::Crc32cSse42(~0u, data, len),
                 internal::Crc32cPortable(~0u, data, len))
           << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32cKernelTest, Sse42MatchesPortableAcrossChainSplits) {
+  if (!internal::Sse42Supported()) {
+    GTEST_SKIP() << "this CPU lacks SSE4.2 (CPUID), so only the portable "
+                    "kernel can run here";
+  }
+  // The kernel splits a buffer into runs of three long blocks, then three
+  // short ones, then one chain: check lengths around each place where the
+  // number of long or short runs changes, at every start alignment.
+  constexpr size_t kLong = 3 * internal::kSse42LongBlock;
+  constexpr size_t kShort = 3 * internal::kSse42ShortBlock;
+  const size_t splits[] = {kShort,         2 * kShort,     kLong,
+                           kLong + kShort, kLong + 3 * kShort,
+                           2 * kLong,      2 * kLong + kShort};
+  util::Rng rng(2028);
+  std::vector<uint8_t> buf(2 * kLong + kShort + 64);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint64());
+  for (size_t split : splits) {
+    for (size_t len = split - 17; len <= split + 17; ++len) {
+      for (size_t offset = 0; offset < 8; ++offset) {
+        const uint8_t* data = buf.data() + offset;
+        ASSERT_EQ(internal::Crc32cSse42(~0u, data, len),
+                  internal::Crc32cPortable(~0u, data, len))
+            << "offset=" << offset << " len=" << len;
+      }
     }
   }
 }

@@ -1,13 +1,20 @@
-// Unit tests for src/util: Status/Result, Rng, stats, hex, time.
+// Unit tests for src/util: Status/Result, Rng, stats, hex, time,
+// SmallBytes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "util/hex.h"
 #include "util/random.h"
 #include "util/result.h"
+#include "util/small_bytes.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/time.h"
@@ -306,6 +313,143 @@ TEST(TimeTest, Conversions) {
   EXPECT_EQ(Seconds(2), 2000000);
   EXPECT_DOUBLE_EQ(ToMillis(1500), 1.5);
   EXPECT_DOUBLE_EQ(ToSeconds(2500000), 2.5);
+}
+
+// ------------------------------------------------------------ SmallBytes
+
+constexpr size_t kInline = SmallBytes::kInlineCapacity;
+
+/// Lengths on both sides of the inline limit, a KV Put's 17 and a page.
+const size_t kSmallBytesLengths[] = {0,       1,           17,  kInline - 1,
+                                     kInline, kInline + 1, 4096};
+
+std::vector<uint8_t> Pattern(size_t len, uint8_t salt = 0) {
+  std::vector<uint8_t> bytes(len);
+  for (size_t i = 0; i < len; ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 31 + salt);
+  }
+  return bytes;
+}
+
+static_assert(std::is_nothrow_move_constructible_v<SmallBytes>);
+static_assert(std::is_nothrow_move_assignable_v<SmallBytes>);
+
+TEST(SmallBytesTest, HoldsEveryLengthInlineOrInOneBlock) {
+  for (size_t len : kSmallBytesLengths) {
+    SCOPED_TRACE(len);
+    const std::vector<uint8_t> want = Pattern(len);
+    const SmallBytes bytes = want;
+    ASSERT_EQ(bytes.size(), len);
+    EXPECT_EQ(bytes.empty(), len == 0);
+    EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()), want);
+    // Inline up to the limit, else exactly one block of the length.
+    EXPECT_EQ(bytes.capacity(), std::max(len, kInline));
+  }
+  const SmallBytes listed = {1, 2, 3};
+  EXPECT_EQ(listed, std::vector<uint8_t>({1, 2, 3}));
+}
+
+TEST(SmallBytesTest, CopiesAcrossTheInlineLimitAreDeep) {
+  for (size_t from : kSmallBytesLengths) {
+    for (size_t to : kSmallBytesLengths) {
+      SCOPED_TRACE(std::to_string(from) + " over " + std::to_string(to));
+      const SmallBytes source = Pattern(from, 1);
+      SmallBytes copy(source);
+      EXPECT_EQ(copy, source);
+      SmallBytes target = Pattern(to, 2);
+      target = source;
+      EXPECT_EQ(target, source);
+      EXPECT_GE(target.capacity(), from);
+      if (from > 0) {
+        // Writing the copy leaves the source alone: no shared block.
+        target[0] ^= 0xff;
+        copy[from - 1] ^= 0xff;
+        EXPECT_EQ(source, Pattern(from, 1));
+        EXPECT_NE(target.data(), source.data());
+      }
+    }
+  }
+}
+
+TEST(SmallBytesTest, MovesTakeTheBlockAndLeaveAnEmptyInlineString) {
+  for (size_t from : kSmallBytesLengths) {
+    for (size_t to : kSmallBytesLengths) {
+      SCOPED_TRACE(std::to_string(from) + " over " + std::to_string(to));
+      SmallBytes source = Pattern(from, 3);
+      const uint8_t* block = source.data();
+      SmallBytes moved(std::move(source));
+      EXPECT_EQ(moved, Pattern(from, 3));
+      if (from > kInline) {
+        EXPECT_EQ(moved.data(), block);  // The block moved, not a copy.
+      }
+      EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+      EXPECT_EQ(source.capacity(), kInline);
+
+      SmallBytes target = Pattern(to, 4);
+      target = std::move(moved);
+      EXPECT_EQ(target, Pattern(from, 3));
+      EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+      // A moved-from string is usable again.
+      moved.push_back(9);
+      EXPECT_EQ(moved, SmallBytes({9}));
+    }
+  }
+}
+
+TEST(SmallBytesTest, SelfAssignmentKeepsTheBytes) {
+  for (size_t len : kSmallBytesLengths) {
+    SCOPED_TRACE(len);
+    SmallBytes bytes = Pattern(len);
+    SmallBytes& alias = bytes;
+    bytes = alias;
+    EXPECT_EQ(bytes, Pattern(len));
+    bytes = std::move(alias);
+    EXPECT_EQ(bytes, Pattern(len));
+    // Assigning a string's own tail to it (overlapping ranges).
+    if (len > 1) {
+      bytes.assign(bytes.begin() + 1, bytes.end());
+      const std::vector<uint8_t> whole = Pattern(len);
+      EXPECT_EQ(bytes, std::vector<uint8_t>(whole.begin() + 1, whole.end()));
+    }
+  }
+}
+
+TEST(SmallBytesTest, EqualityComparesBytesNotStorage) {
+  SmallBytes inline_bytes = Pattern(17);
+  SmallBytes spilled = Pattern(17);
+  spilled.reserve(4096);
+  ASSERT_GT(spilled.capacity(), kInline);
+  EXPECT_EQ(inline_bytes, spilled);
+  EXPECT_EQ(SmallBytes(), SmallBytes(std::vector<uint8_t>()));
+  EXPECT_NE(SmallBytes(Pattern(17)), SmallBytes(Pattern(16)));
+  spilled[16] ^= 1;
+  EXPECT_NE(inline_bytes, spilled);
+  EXPECT_EQ(SmallBytes(Pattern(kInline + 1)), Pattern(kInline + 1));
+}
+
+TEST(SmallBytesTest, GrowsLikeAVector) {
+  SmallBytes bytes;
+  std::vector<uint8_t> want;
+  for (size_t i = 0; i < 100; ++i) {
+    bytes.push_back(static_cast<uint8_t>(i));
+    want.push_back(static_cast<uint8_t>(i));
+    ASSERT_EQ(bytes, want);
+    ASSERT_GE(bytes.capacity(), bytes.size());
+  }
+  bytes.resize(120);  // New bytes are zero.
+  want.resize(120);
+  EXPECT_EQ(bytes, want);
+  bytes.resize(3);
+  EXPECT_EQ(bytes, SmallBytes({0, 1, 2}));
+  bytes.assign(30, 0x5a);
+  EXPECT_EQ(bytes, std::vector<uint8_t>(30, 0x5a));
+  bytes.clear();
+  EXPECT_TRUE(bytes.empty());
+  SmallBytes small;
+  small.reserve(10);  // Below the inline limit: stays inline.
+  EXPECT_EQ(small.capacity(), kInline);
+  small.reserve(kInline + 1);  // Exactly the reserved length.
+  EXPECT_EQ(small.capacity(), kInline + 1);
 }
 
 }  // namespace
